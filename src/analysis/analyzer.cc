@@ -1,5 +1,7 @@
 #include "analysis/analyzer.h"
 
+#include <algorithm>
+
 #include "support/logging.h"
 
 namespace qb::analysis {
@@ -36,21 +38,8 @@ Analyzer::qubitFacts(ir::QubitId q)
         if (options_.support) {
             if (supportDischargesZero(circuit_, q))
                 facts.zeroDischargedBy = Pass::Support;
-            if (!supports_)
-                supports_ = supportsOf(circuit_);
-            if (!supports_->poisoned()) {
-                bool independent = true;
-                for (ir::QubitId other = 0;
-                     other < circuit_.numQubits(); ++other) {
-                    if (other != q &&
-                        supports_->mayDependOn(other, q)) {
-                        independent = false;
-                        break;
-                    }
-                }
-                if (independent)
-                    facts.plusDischargedBy = Pass::Support;
-            }
+            if (supportDischargesPlus(circuit_, q))
+                facts.plusDischargedBy = Pass::Support;
         }
         if (options_.mirror &&
             (facts.zeroDischargedBy == Pass::None ||
@@ -98,12 +87,23 @@ Analyzer::affineFinal()
     return affineFinal_ ? &*affineFinal_ : nullptr;
 }
 
+bool
+Analyzer::affineHopeless(ir::QubitId q)
+{
+    if (!affineTop_)
+        affineTop_ = affineTopWires(circuit_);
+    const std::vector<bool> &top = *affineTop_;
+    return top[q] && std::count(top.begin(), top.end(), true) >= 2;
+}
+
 AffineFacts
 Analyzer::affineFacts(ir::QubitId q)
 {
     qbAssert(q < circuit_.numQubits(),
              "Analyzer::affineFacts: qubit out of range");
     AffineFacts facts;
+    if (affineHopeless(q))
+        return facts;
     const AffineState *final = affineFinal();
     if (!final)
         return facts;

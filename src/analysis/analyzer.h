@@ -95,9 +95,11 @@ struct AffineFacts
 
 /**
  * Per-circuit analyzer: caches the work shared between qubits (the
- * forward support sets and the mirror split) and answers qubitFacts()
- * queries.  Analysis is lazy - nothing is computed until the first
- * query - so sessions that never consult the analyzer pay nothing.
+ * affine ⊤ set and final state) and answers qubitFacts() queries.
+ * The support and mirror passes run per qubit in O(gates) with one
+ * bit per wire.  Analysis is lazy - nothing is computed until the
+ * first query - so sessions that never consult the analyzer pay
+ * nothing.
  */
 class Analyzer
 {
@@ -122,11 +124,18 @@ class Analyzer
      *  first use, nullopt until then and when unavailable). */
     const AffineState *affineFinal();
 
+    /** Exact gate on the dense sweep: true when q and some other wire
+     *  are both ⊤, so affineFacts(q) can discharge nothing - ⊤ q is
+     *  neither identity nor constant, and a ⊤ other wire may depend
+     *  on q.  The ⊤ set is one O(gates) pass (affineTopWires),
+     *  cached. */
+    bool affineHopeless(ir::QubitId q);
+
     const ir::Circuit &circuit_;
     AnalysisOptions options_;
-    std::optional<SupportSets> supports_;
     bool affineTried_ = false;
     std::optional<AffineState> affineFinal_;
+    std::optional<std::vector<bool>> affineTop_; ///< affineTopWires
     std::vector<std::optional<QubitFacts>> factsCache_;
 };
 

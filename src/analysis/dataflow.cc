@@ -316,6 +316,40 @@ LivenessState::join(const LivenessState &other)
 
 // -------------------------------------------------------------- clients
 
+std::vector<bool>
+affineTopWires(const ir::Circuit &circuit)
+{
+    std::vector<bool> top(circuit.numQubits(), false);
+    for (const ir::Gate &gate : circuit.gates()) {
+        switch (gate.kind()) {
+          case ir::GateKind::X:
+          case ir::GateKind::CNOT:
+          case ir::GateKind::CCNOT:
+          case ir::GateKind::MCX: {
+            const auto controls = gate.controls();
+            bool poisoned = controls.size() >= 2;
+            for (const ir::QubitId c : controls)
+                poisoned = poisoned || top[c];
+            if (poisoned)
+                top[gate.target()] = true;
+            break;
+          }
+          case ir::GateKind::Swap: {
+            const ir::QubitId a = gate.qubits()[0];
+            const ir::QubitId b = gate.qubits()[1];
+            const bool ta = top[a];
+            top[a] = top[b];
+            top[b] = ta;
+            break;
+          }
+          default:
+            std::fill(top.begin(), top.end(), true);
+            break;
+        }
+    }
+    return top;
+}
+
 bool
 writesWire(const ir::Circuit &circuit, ir::QubitId q)
 {

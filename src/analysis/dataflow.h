@@ -360,6 +360,19 @@ struct LivenessDomain
 // ------------------------------------------------------------- clients
 
 /**
+ * The ⊤ set of runForward<AffineDomain> from the UNSEEDED initial
+ * state, in one O(gates) pass with one bit per wire instead of the
+ * dense O(gates * wires / 64) sweep.  Exact, not an approximation:
+ * unseeded, the non-⊤ rows stay linearly independent (CNOT adds one
+ * independent row to another, ⊤ only drops rows, Swap permutes), so
+ * no row is ever empty and no control is ever constant.  A gate
+ * therefore drives its target to ⊤ exactly when it has two or more
+ * controls or a ⊤ control, Swap exchanges the bits, and a
+ * non-classical gate poisons every wire.
+ */
+std::vector<bool> affineTopWires(const ir::Circuit &circuit);
+
+/**
  * Does some gate of @p circuit WRITE wire @p q (X-family target or
  * Swap operand)?  Unwritten wires trivially satisfy b_q = q; the
  * engine uses this to skip the affine consult where constant folding

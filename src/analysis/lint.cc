@@ -1,6 +1,8 @@
 #include "analysis/lint.h"
 
 #include <algorithm>
+#include <map>
+#include <optional>
 #include <set>
 #include <unordered_map>
 
@@ -311,23 +313,51 @@ lintQubitNeverRead(const lang::ElaboratedProgram &program,
     }
 }
 
+/** What borrow-not-restored derives from one lifetime scope, built
+ *  once however many borrowed wires share the scope. */
+struct LifetimeScope
+{
+    ir::Circuit lifetime;
+    bool classical;
+    std::vector<bool> top; ///< affineTopWires(lifetime)
+    /** Unseeded affine final state, built at the first TooWide wire
+     *  that the ⊤ set cannot settle. */
+    std::optional<AffineState> final;
+};
+
 void
 lintBorrowNotRestored(const lang::ElaboratedProgram &program,
                       const LintOptions &options,
                       std::vector<Diagnostic> &out)
 {
+    // Keyed by (scopeBegin, scopeEnd): on the ladders every borrowed
+    // wire shares one scope, so the slice and the dense affine sweep
+    // are paid once per program instead of once per wire.
+    std::map<std::pair<std::size_t, std::size_t>, LifetimeScope> scopes;
     for (std::size_t q = 0; q < program.qubits.size(); ++q) {
         const lang::QubitInfo &info = program.qubits[q];
         if (!isBorrowRole(info.role) ||
             info.scopeBegin >= info.scopeEnd)
             continue;
-        const ir::Circuit lifetime =
-            program.circuit.slice(info.scopeBegin, info.scopeEnd);
-        if (!lifetime.isClassical())
+        auto it = scopes.find({info.scopeBegin, info.scopeEnd});
+        if (it == scopes.end()) {
+            ir::Circuit lifetime =
+                program.circuit.slice(info.scopeBegin, info.scopeEnd);
+            const bool classical = lifetime.isClassical();
+            std::vector<bool> top = affineTopWires(lifetime);
+            it = scopes
+                     .emplace(std::pair{info.scopeBegin, info.scopeEnd},
+                              LifetimeScope{std::move(lifetime),
+                                            classical, std::move(top),
+                                            std::nullopt})
+                     .first;
+        }
+        LifetimeScope &scope = it->second;
+        if (!scope.classical)
             continue;
-        const PermutationVerdict verdict =
-            permutationCheck(lifetime, static_cast<ir::QubitId>(q),
-                             options.permutationWindow);
+        const ir::QubitId wire = static_cast<ir::QubitId>(q);
+        const PermutationVerdict verdict = permutationCheck(
+            scope.lifetime, wire, options.permutationWindow);
         bool not_restored =
             verdict == PermutationVerdict::NotRestored;
         if (verdict == PermutationVerdict::TooWide) {
@@ -336,12 +366,16 @@ lintBorrowNotRestored(const lang::ElaboratedProgram &program,
             // for q that is neither q itself nor poisoned is an exact
             // function description differing from q, so some initial
             // assignment is provably changed - the same certificate
-            // the 2^k sweep gives, without the width bound.
-            const AffineState final = runForward<AffineDomain>(
-                lifetime, AffineState(lifetime.numQubits()));
-            const ir::QubitId wire = static_cast<ir::QubitId>(q);
-            not_restored =
-                !final.isTop(wire) && !final.isIdentity(wire);
+            // the 2^k sweep gives, without the width bound.  A ⊤ wire
+            // proves nothing, and the exact ⊤ set settles that
+            // without the dense sweep.
+            if (!scope.top[wire]) {
+                if (!scope.final)
+                    scope.final = runForward<AffineDomain>(
+                        scope.lifetime,
+                        AffineState(scope.lifetime.numQubits()));
+                not_restored = !scope.final->isIdentity(wire);
+            }
         }
         if (!not_restored)
             continue;

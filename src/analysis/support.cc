@@ -82,11 +82,27 @@ supportDischargesPlus(const ir::Circuit &circuit, ir::QubitId q)
 {
     if (!circuit.isClassical())
         return false;
-    const SupportSets sets = supportsOf(circuit);
-    if (sets.poisoned())
-        return false;
+    // Column q of supportsOf() alone: one bit per wire and O(gates),
+    // where the full sets cost O(gates * wires / 64) and wires^2 bits.
+    std::vector<bool> depends(circuit.numQubits(), false);
+    depends[q] = true;
+    for (const ir::Gate &gate : circuit.gates()) {
+        if (gate.kind() == ir::GateKind::Swap) {
+            const ir::QubitId a = gate.qubits()[0];
+            const ir::QubitId b = gate.qubits()[1];
+            const bool da = depends[a];
+            depends[a] = depends[b];
+            depends[b] = da;
+            continue;
+        }
+        for (const ir::QubitId c : gate.controls())
+            if (depends[c]) {
+                depends[gate.target()] = true;
+                break;
+            }
+    }
     for (ir::QubitId other = 0; other < circuit.numQubits(); ++other) {
-        if (other != q && sets.mayDependOn(other, q))
+        if (other != q && depends[other])
             return false;
     }
     return true;

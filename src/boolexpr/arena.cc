@@ -247,55 +247,87 @@ Arena::supportSet(NodeRef root) const
     return out;
 }
 
+void
+SubstituteMemo::reset(std::uint32_t var, NodeRef value)
+{
+    if (++epoch_ == 0) {
+        // Wrapped: stale stamps could alias the new epoch.
+        std::fill(stamp_.begin(), stamp_.end(), 0);
+        epoch_ = 1;
+    }
+    var_ = var;
+    value_ = value;
+    visits_ = 0;
+}
+
 NodeRef
 Arena::substitute(NodeRef root, std::uint32_t var, NodeRef value)
 {
+    scratchMemo.reset(var, value);
+    return substitute(root, scratchMemo);
+}
+
+NodeRef
+Arena::substitute(NodeRef root, SubstituteMemo &memo)
+{
+    // Children are interned before their parents, so every node the
+    // walk reaches has an id <= root: slots [0, root] cover it, even
+    // for roots interned after the memo's last reset.  New slots carry
+    // stamp 0, which no live epoch uses.
+    if (memo.stamp_.size() <= root) {
+        memo.stamp_.resize(std::size_t{root} + 1, 0);
+        memo.result_.resize(std::size_t{root} + 1, kFalse);
+    }
+    const auto store = [&memo](NodeRef ref, NodeRef result) {
+        memo.stamp_[ref] = memo.epoch_;
+        memo.result_[ref] = result;
+        ++memo.visits_;
+    };
     // Iterative post-order rewrite: formula chains produced by long
     // circuits nest thousands deep, so recursion is not an option.
-    std::unordered_map<NodeRef, NodeRef> memo;
     std::vector<std::pair<NodeRef, bool>> stack;
     stack.emplace_back(root, false);
     while (!stack.empty()) {
         auto [ref, expanded] = stack.back();
         stack.pop_back();
-        if (memo.count(ref))
+        if (memo.has(ref))
             continue;
         const Node &n = nodes[ref];
         switch (n.kind) {
           case NodeKind::Const:
-            memo.emplace(ref, ref);
+            store(ref, ref);
             break;
           case NodeKind::Var:
-            memo.emplace(ref, n.var == var ? value : ref);
+            store(ref, n.var == memo.var_ ? memo.value_ : ref);
             break;
           case NodeKind::And:
           case NodeKind::Xor:
             if (!expanded) {
                 stack.emplace_back(ref, true);
                 for (NodeRef c : children(ref))
-                    stack.emplace_back(c, false);
+                    if (!memo.has(c))
+                        stack.emplace_back(c, false);
             } else {
                 std::vector<NodeRef> rebuilt;
                 bool changed = false;
                 const auto kids = children(ref);
                 rebuilt.reserve(kids.size());
                 for (NodeRef c : kids) {
-                    const NodeRef rc = memo.at(c);
+                    const NodeRef rc = memo.result_[c];
                     changed |= rc != c;
                     rebuilt.push_back(rc);
                 }
-                if (!changed) {
-                    memo.emplace(ref, ref);
-                } else if (n.kind == NodeKind::And) {
-                    memo.emplace(ref, mkAnd(std::move(rebuilt)));
-                } else {
-                    memo.emplace(ref, mkXor(std::move(rebuilt)));
-                }
+                if (!changed)
+                    store(ref, ref);
+                else if (n.kind == NodeKind::And)
+                    store(ref, mkAnd(std::move(rebuilt)));
+                else
+                    store(ref, mkXor(std::move(rebuilt)));
             }
             break;
         }
     }
-    return memo.at(root);
+    return memo.result_[root];
 }
 
 bool

@@ -46,6 +46,41 @@ enum class NodeKind : std::uint8_t {
 };
 
 /**
+ * Rewrite memo for Arena::substitute(): one slot per NodeRef (arena ids
+ * are dense), stamped with an epoch so reset() forgets every entry in
+ * O(1).  A memo fixes one substitution var := value; passing the same
+ * memo for many roots rewrites each shared DAG node at most once.
+ * Nodes interned after reset() are covered too - substitute() grows the
+ * memo to the root's id on entry (children always have smaller ids).
+ * Not thread-safe: use it only on the arena's single writer thread.
+ */
+class SubstituteMemo
+{
+  public:
+    /** Forget every entry and fix the substitution to
+     *  @p var := @p value; also zeroes visits(). */
+    void reset(std::uint32_t var, NodeRef value);
+
+    /** Nodes rewritten (memo entries filled) since the last reset(). */
+    std::size_t visits() const { return visits_; }
+
+  private:
+    friend class Arena;
+
+    bool has(NodeRef ref) const
+    {
+        return ref < stamp_.size() && stamp_[ref] == epoch_;
+    }
+
+    std::vector<std::uint32_t> stamp_;
+    std::vector<NodeRef> result_;
+    std::uint32_t epoch_ = 1; ///< fresh slots carry stamp 0
+    std::uint32_t var_ = 0;
+    NodeRef value_ = kFalse;
+    std::size_t visits_ = 0;
+};
+
+/**
  * Arena owning a set of hash-consed Boolean expression nodes.
  *
  * Structural equality coincides with NodeRef equality: two formulas built
@@ -111,6 +146,15 @@ class Arena
     NodeRef substitute(NodeRef root, std::uint32_t var, NodeRef value);
 
     /**
+     * substitute() through a caller-owned @p memo, whose reset() fixed
+     * the variable and value.  Nodes already rewritten since that
+     * reset are not visited again, so rewriting many roots that share
+     * sub-DAGs costs the size of their union, not the sum of their
+     * sizes.
+     */
+    NodeRef substitute(NodeRef root, SubstituteMemo &memo);
+
+    /**
      * Evaluate @p root under a total assignment.
      *
      * @param assignment assignment[v] is the value of variable v; the
@@ -142,6 +186,8 @@ class Arena
     ChunkedVector<NodeRef> childPool;
     std::unordered_multimap<std::uint64_t, NodeRef> uniqueTable;
     std::unordered_map<std::uint32_t, NodeRef> varTable;
+    /** Memo of the one-shot substitute(), reset on every call. */
+    SubstituteMemo scratchMemo;
 };
 
 } // namespace qb::bexp

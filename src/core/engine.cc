@@ -458,9 +458,11 @@ VerificationEngine::conditionsFor(ir::QubitId q)
     // both conditions to constants during construction, so a
     // POST-build affine discharge can never fire - the pass pays off
     // only by proving UNSAT first and skipping the build, notably the
-    // O(wires * dagSize) cofactor sweep of (6.2).  Gated on q being
-    // written: unwritten qubits fold in O(1) anyway, and skipping
-    // them keeps their results attributed as structural.
+    // (6.2) cofactor sweep.  Gated on q being written: unwritten
+    // qubits fold in O(1) anyway, and skipping them keeps their
+    // results attributed as structural.  affineFacts() applies the
+    // exact ⊤ gate itself: where q and another wire are both ⊤ it
+    // answers without the dense sweep.
     analysis::AffineFacts affine;
     if (options_.analysis.affine && classical &&
         analysis::writesWire(circuit_, q)) {
@@ -488,19 +490,27 @@ VerificationEngine::conditionsFor(ir::QubitId q)
         conds->plus = bexp::kFalse;
         conds->plusDischargedBy = analysis::Pass::Affine;
     } else {
+        // One memo per polarity for the whole wire loop: the finals
+        // share most of their DAG, so each node is rewritten at most
+        // once per qubit, and the sweep costs O(dagSize), not
+        // O(wires * dagSize).
+        zeroCofactor_.reset(q, bexp::kFalse);
+        oneCofactor_.reset(q, bexp::kTrue);
         std::vector<bexp::NodeRef> disjuncts;
         for (std::uint32_t other = 0; other < n; ++other) {
             if (other == q)
                 continue;
             const bexp::NodeRef b_other = finals[other];
             const bexp::NodeRef cof0 =
-                arena.substitute(b_other, q, bexp::kFalse);
+                arena.substitute(b_other, zeroCofactor_);
             const bexp::NodeRef cof1 =
-                arena.substitute(b_other, q, bexp::kTrue);
+                arena.substitute(b_other, oneCofactor_);
             const bexp::NodeRef diff = arena.mkXor({cof0, cof1});
             if (diff != bexp::kFalse)
                 disjuncts.push_back(diff);
         }
+        engineStats.substituteVisits +=
+            zeroCofactor_.visits() + oneCofactor_.visits();
         conds->plus = arena.mkOr(std::move(disjuncts));
     }
     conds->nodes =

@@ -243,6 +243,11 @@ class VerificationEngine
         /** @} */
         /** Lanes wired into a learnt-clause exchange group. */
         std::size_t shareLanes = 0;
+        /** DAG nodes rewritten by the (6.2) cofactor sweeps, both
+         *  polarities: linear in the circuit per qubit (regression
+         *  tests count it instead of timing the build).  Not part of
+         *  the report JSON. */
+        std::size_t substituteVisits = 0;
         double formulaBuildSeconds = 0.0; ///< one-time circuit scan
     };
 
@@ -392,6 +397,10 @@ class VerificationEngine
     /** Static dischargers over circuit_; created on first use. */
     std::unique_ptr<analysis::Analyzer> analyzer_;
     std::vector<std::unique_ptr<Conditions>> conditionCache;
+    /** Cofactor memos of the (6.2) sweep, q := 0 and q := 1; reset
+     *  per qubit, used only on the arena-writer thread. */
+    bexp::SubstituteMemo zeroCofactor_;
+    bexp::SubstituteMemo oneCofactor_;
     std::vector<std::optional<bexp::NodeRef>> cleanCache;
     Stats engineStats;
 

@@ -43,6 +43,38 @@ using ir::Gate;
 
 // ------------------------------------------------------------ support
 
+/** 1-12 random X/CNOT/Toffoli/MCX/Swap gates over 3-8 wires, plus H
+ *  gates when @p quantum is set. */
+Circuit
+randomGateSoup(std::uint64_t seed, bool quantum)
+{
+    Rng rng(seed);
+    const auto n = static_cast<std::uint32_t>(3 + rng.nextBelow(6));
+    Circuit c(n);
+    const auto pick = [&] {
+        return static_cast<ir::QubitId>(rng.nextBelow(n));
+    };
+    const auto body = 1 + rng.nextBelow(12);
+    for (std::uint64_t g = 0; g < body; ++g) {
+        const ir::QubitId a = pick();
+        ir::QubitId b = pick();
+        while (b == a)
+            b = pick();
+        ir::QubitId t = pick();
+        while (t == a || t == b)
+            t = pick();
+        switch (rng.nextBelow(quantum ? 6 : 5)) {
+          case 0: c.append(Gate::x(a)); break;
+          case 1: c.append(Gate::cnot(a, b)); break;
+          case 2: c.append(Gate::ccnot(a, b, t)); break;
+          case 3: c.append(Gate::mcx({a}, b)); break;
+          case 4: c.append(Gate::swap(a, b)); break;
+          default: c.append(Gate::h(a)); break;
+        }
+    }
+    return c;
+}
+
 TEST(Support, CnotTransfersControlSupportToTarget)
 {
     Circuit c(3);
@@ -86,6 +118,24 @@ TEST(Support, DischargesPlusForUntouchedQubit)
     EXPECT_TRUE(supportDischargesPlus(c, 2));
     // Wire 1 depends on input 0: not discharged for qubit 0.
     EXPECT_FALSE(supportDischargesPlus(c, 0));
+}
+
+TEST(Support, PlusCheckReadsExactlyColumnQOfTheFullSets)
+{
+    // supportDischargesPlus() folds one column instead of building
+    // every support set; it must answer exactly what the full sets do.
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        const Circuit c = randomGateSoup(seed, false);
+        const SupportSets sets = supportsOf(c);
+        for (ir::QubitId q = 0; q < c.numQubits(); ++q) {
+            bool independent = true;
+            for (ir::QubitId w = 0; w < c.numQubits(); ++w)
+                independent =
+                    independent && (w == q || !sets.mayDependOn(w, q));
+            EXPECT_EQ(independent, supportDischargesPlus(c, q))
+                << "seed " << seed << " qubit " << q;
+        }
+    }
 }
 
 TEST(Support, DischargesZeroOnlyWhenNeverWritten)
@@ -241,6 +291,23 @@ TEST(AffineDataflow, HashTracksStateEquality)
 }
 
 // ---------------------------------------- dataflow: constants domain
+
+TEST(AffineDataflow, TopWiresMatchTheDenseSweepExactly)
+{
+    // affineTopWires() claims the EXACT ⊤ set of the unseeded dense
+    // sweep, not an over-approximation: random X/CNOT/Toffoli/MCX/Swap
+    // circuits must agree wire for wire, and one non-classical gate
+    // poisons everything in both.
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        const Circuit c = randomGateSoup(seed, seed % 10 == 0);
+        const std::vector<bool> top = affineTopWires(c);
+        const AffineState dense =
+            runForward<AffineDomain>(c, AffineState(c.numQubits()));
+        for (ir::QubitId w = 0; w < c.numQubits(); ++w)
+            EXPECT_EQ(dense.isTop(w), top[w])
+                << "seed " << seed << " wire " << w;
+    }
+}
 
 TEST(ConstantDataflow, CancellationRederivesConstants)
 {
@@ -566,6 +633,91 @@ TEST(AffinePass, NearMissNonlinearRestorationDoesNotDischarge)
     const AffineFacts f0 = analyzer.affineFacts(0);
     EXPECT_TRUE(f0.zeroUnsat);
     EXPECT_FALSE(f0.plusUnsat);
+}
+
+/** Verdicts with analysis on and off for @p q, plus the on-side
+ *  engine's affine credit. */
+struct AffineEngineRun
+{
+    core::QubitResult on;
+    core::QubitResult off;
+    std::size_t affineCredits = 0;
+};
+
+AffineEngineRun
+runAffineEngine(const Circuit &c, ir::QubitId q)
+{
+    core::EngineOptions without;
+    without.analysis = AnalysisOptions::none();
+    core::VerificationEngine on(c);
+    core::VerificationEngine off(c, without);
+    AffineEngineRun run{on.verify(q), off.verify(q), 0};
+    run.affineCredits = on.stats().analysisAffine;
+    return run;
+}
+
+TEST(AffinePass, TopGateStillDischargesPlusWhenOnlyQIsTop)
+{
+    // Near miss of the ⊤ gate: q = 2 is ⊤ (two symbolic controls) but
+    // no OTHER wire is, so the dense sweep must still run and (6.2)
+    // still discharges - before the build, at engine level too.
+    Circuit c(3);
+    c.append(Gate::ccnot(0, 1, 2));
+    c.append(Gate::x(0));
+    c.append(Gate::x(0));
+    c.append(Gate::ccnot(0, 1, 2));
+    Analyzer analyzer(c, AnalysisOptions{});
+    const AffineFacts f = analyzer.affineFacts(2);
+    EXPECT_FALSE(f.zeroUnsat);
+    EXPECT_TRUE(f.plusUnsat);
+
+    const AffineEngineRun run = runAffineEngine(c, 2);
+    EXPECT_EQ(core::Verdict::Safe, run.on.verdict);
+    EXPECT_EQ(run.off.verdict, run.on.verdict);
+    EXPECT_EQ(1u, run.affineCredits);
+}
+
+TEST(AffinePass, TopGateStillDischargesZeroWhenOnlyAnotherWireIsTop)
+{
+    // The other near miss: wire 3 is ⊤ but q = 2 is only written
+    // linearly (w ^= a twice), so (6.1) still discharges through its
+    // identity row; (6.2) must not, since ⊤ wire 3 may depend on q.
+    Circuit c(4);
+    c.append(Gate::ccnot(0, 1, 3));
+    c.append(Gate::cnot(0, 2));
+    c.append(Gate::cnot(0, 2));
+    Analyzer analyzer(c, AnalysisOptions{});
+    const AffineFacts f = analyzer.affineFacts(2);
+    EXPECT_TRUE(f.zeroUnsat);
+    EXPECT_FALSE(f.plusUnsat);
+
+    const AffineEngineRun run = runAffineEngine(c, 2);
+    EXPECT_EQ(core::Verdict::Safe, run.on.verdict);
+    EXPECT_EQ(run.off.verdict, run.on.verdict);
+    EXPECT_EQ(run.off.failed, run.on.failed);
+    EXPECT_EQ(1u, run.affineCredits);
+}
+
+TEST(AffinePass, TopGateClaimsNothingWhenQAndAnotherWireAreTop)
+{
+    // Both q = 2 and wire 3 are ⊤: the gate answers without the dense
+    // sweep, and the answer is what the sweep would give - nothing.
+    Circuit c(4);
+    c.append(Gate::ccnot(0, 1, 2));
+    c.append(Gate::ccnot(0, 1, 3));
+    c.append(Gate::ccnot(0, 1, 2));
+    const AffineState dense =
+        runForward<AffineDomain>(c, AffineState(4));
+    EXPECT_TRUE(dense.isTop(2));
+    EXPECT_TRUE(dense.mayDependOn(3, 2));
+    Analyzer analyzer(c, AnalysisOptions{});
+    const AffineFacts f = analyzer.affineFacts(2);
+    EXPECT_FALSE(f.zeroUnsat);
+    EXPECT_FALSE(f.plusUnsat);
+
+    const AffineEngineRun run = runAffineEngine(c, 2);
+    EXPECT_EQ(run.off.verdict, run.on.verdict);
+    EXPECT_EQ(0u, run.affineCredits);
 }
 
 TEST(AffinePass, OffOptionAndNonClassicalCircuitsClaimNothing)
@@ -1016,6 +1168,57 @@ TEST(Lint, NotRestoredProvedByAffineBeyondPermutationWindow)
     EXPECT_EQ(Severity::Error, d.severity);
     EXPECT_EQ(2, d.loc.line);
     EXPECT_EQ(8, d.loc.column); // the 'w' of "borrow w"
+}
+
+TEST(Lint, NestedScopesBeyondWindowAreCheckedOverTheirOwnSlice)
+{
+    // Every borrowed cone here exceeds the permutation window, so the
+    // verdicts come from the per-scope affine states - and each wire
+    // must be judged over ITS OWN lifetime slice:
+    //  - a and b share a scope begin.  a is restored on [0, release a);
+    //    b is not restored on a's slice, only on its own.
+    //  - b and c share a scope end.  c is not restored on its own
+    //    slice; on b's slice x[1] is ⊤ when c reads it, proving
+    //    nothing.
+    // A cache keyed by begin alone flags b; one keyed by end alone
+    // misses c.  Exactly one error, at c's declaration.
+    const std::string src =
+        "borrow a;\n"                                          // 1
+        "borrow b;\n"                                          // 2
+        "borrow x[12];\n"                                      // 3
+        "borrow y[2];\n"                                       // 4
+        "for i = 1 to 12 { CNOT[x[i], a]; CNOT[x[i], b]; }\n"  // 5
+        "for i = 1 to 12 { CNOT[x[i], a]; }\n"                 // 6
+        "release a;\n"                                         // 7
+        "CCNOT[y[1], y[2], x[1]];\n"                           // 8
+        "borrow c;\n"                                          // 9
+        "for i = 1 to 12 { CNOT[x[i], c]; }\n"                 // 10
+        "X[c];\n"                                              // 11
+        "CCNOT[y[1], y[2], x[1]];\n"                           // 12
+        "for i = 1 to 12 { CNOT[x[i], b]; }\n"                 // 13
+        "release c;\n"                                         // 14
+        "release b;\n";                                        // 15
+    const LintResult r = lintSource(src);
+    ASSERT_TRUE(r.elaborated);
+    ASSERT_EQ(1u, r.diagnostics.size());
+    const Diagnostic &d = r.diagnostics[0];
+    EXPECT_EQ("borrow-not-restored", d.rule);
+    EXPECT_EQ(Severity::Error, d.severity);
+    EXPECT_EQ(9, d.loc.line);
+    EXPECT_EQ(8, d.loc.column); // the 'c' of "borrow c"
+    EXPECT_NE(std::string::npos, d.message.find("'c'"));
+
+    // Verification agrees on the three borrows: c is Unsafe, a and b
+    // are Safe.  (The x and y wires leak into c, so they are Unsafe
+    // too - through (6.2), which lint does not claim.)
+    const core::ProgramResult verified = core::verifySource(src);
+    for (const core::QubitResult &q : verified.qubits) {
+        if (q.name == "c") {
+            EXPECT_EQ(core::Verdict::Unsafe, q.verdict);
+        } else if (q.name == "a" || q.name == "b") {
+            EXPECT_EQ(core::Verdict::Safe, q.verdict) << q.name;
+        }
+    }
 }
 
 TEST(Lint, PathDivergentReleaseSurvivesElaborationFailure)

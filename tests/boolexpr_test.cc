@@ -155,6 +155,36 @@ TEST(Arena, SubstituteAbsentVarIsIdentity)
     EXPECT_EQ(f, a.substitute(f, 7, kTrue));
 }
 
+TEST(Arena, SharedMemoMatchesOneShotAndCountsEachNodeOnce)
+{
+    Arena a;
+    const NodeRef x = a.mkVar(0), y = a.mkVar(1), z = a.mkVar(2);
+    const NodeRef shared = a.mkAnd({x, y});
+    const NodeRef f = a.mkXor({shared, z});
+    const NodeRef g = a.mkAnd({shared, a.mkNot(z)});
+    const NodeRef f0 = a.substitute(f, 0, kFalse);
+    const NodeRef g0 = a.substitute(g, 0, kFalse);
+
+    SubstituteMemo memo;
+    memo.reset(0, kFalse);
+    EXPECT_EQ(f0, a.substitute(f, memo));
+    const std::size_t after_f = memo.visits();
+    EXPECT_EQ(a.dagSize(f), after_f);
+    EXPECT_EQ(g0, a.substitute(g, memo));
+    // g shares x, y, z and x&y with f: only its own nodes are new.
+    EXPECT_LT(memo.visits() - after_f, a.dagSize(g));
+
+    // Nodes interned after reset() lie past the memo's old size and
+    // must still be rewritten, not read from stale slots.
+    const NodeRef late = a.mkXor({a.mkAnd({x, z}), a.mkVar(9)});
+    EXPECT_EQ(a.substitute(late, 0, kTrue),
+              [&] {
+                  memo.reset(0, kTrue);
+                  return a.substitute(late, memo);
+              }());
+    EXPECT_EQ(a.dagSize(late), memo.visits());
+}
+
 TEST(Arena, SupportSet)
 {
     Arena a;

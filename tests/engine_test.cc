@@ -75,6 +75,30 @@ TEST(Engine, RepeatedQueryHitsConditionCache)
     EXPECT_GT(engine.stats().conditionHits, hits_before);
 }
 
+TEST(Engine, CofactorSweepVisitsGrowLinearlyOnMcx)
+{
+    // Deterministic guard on (6.2) construction: the node visits of
+    // the cofactor sweep, not wall time.  A fresh memo per wire
+    // visited the shared DAG once per wire - 4x the visits at twice
+    // the width; one memo per polarity stays at about 2x.
+    const auto visits = [](std::uint32_t m) {
+        const auto program =
+            lang::elaborateSource(circuits::mcxQbrSource(m));
+        const auto verify =
+            program.qubitsWithRole(lang::QubitRole::BorrowVerify);
+        EXPECT_EQ(1u, verify.size());
+        const lang::QubitInfo &info = program.qubits[verify.at(0)];
+        VerificationEngine engine(
+            program.circuit.slice(info.scopeBegin, info.scopeEnd));
+        EXPECT_EQ(Verdict::Safe, engine.verify(verify[0]).verdict);
+        return engine.stats().substituteVisits;
+    };
+    const std::size_t small = visits(200);
+    const std::size_t large = visits(400);
+    EXPECT_GT(small, 400u);
+    EXPECT_LE(large, 2 * small + 64);
+}
+
 TEST(Engine, NotClassicalCircuit)
 {
     Circuit c(2);

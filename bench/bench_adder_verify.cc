@@ -213,14 +213,6 @@ AdderVerifyEnginePortfolio(benchmark::State &state)
 }
 
 void
-AdderVerifyEnginePortfolioABC(benchmark::State &state)
-{
-    // Adds lane C: shares lane A's encoding, so A and C exchange
-    // learnt clauses while racing.
-    runAdderEngine(state, qb::core::EngineOptions::portfolioABC());
-}
-
-void
 AdderVerifyEnginePortfolioAdaptive(benchmark::State &state)
 {
     // --adaptive-lanes: lane B wins this family, and after the first
@@ -279,10 +271,6 @@ BENCHMARK(AdderVerifyEngineLaneB)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);
 BENCHMARK(AdderVerifyEnginePortfolio)
-    ->DenseRange(50, 200, 25)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
-BENCHMARK(AdderVerifyEnginePortfolioABC)
     ->DenseRange(50, 200, 25)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);

@@ -61,8 +61,8 @@
  * quadratically with n.
  *
  * Linear condition construction: one cofactor memo per polarity for
- * the whole (6.2) wire loop, an exact ⊤ gate in front of the dense
- * affine sweep, and a one-column support check.  The lane A families
+ * the whole (6.2) wire loop and an exact ⊤ gate in front of the
+ * dense affine sweep.  The lane A families
  * also run at n = 9999 and 19999 (ROADMAP target).  Single iterations
  * on a 4-core Xeon host, before -> after:
  *   EngineLaneA  n = 3499:  1.43 s -> 0.047 s (build_s 1.37 s -> 2.8 ms)
@@ -223,15 +223,6 @@ McxVerifyEnginePortfolio(benchmark::State &state)
 }
 
 void
-McxVerifyEnginePortfolioABC(benchmark::State &state)
-{
-    // Adds lane C: shares lane A's encoding, so A and C exchange
-    // learnt clauses while racing.
-    runMcxVerify(state, qb::core::EngineOptions::portfolioABC(),
-                 false);
-}
-
-void
 McxVerifyEnginePortfolioAdaptive(benchmark::State &state)
 {
     // --adaptive-lanes: per-family win rates seed each race with the
@@ -383,10 +374,6 @@ BENCHMARK(McxVerifyEngineLaneB)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);
 BENCHMARK(McxVerifyEnginePortfolio)
-    ->DenseRange(499, 3499, 500)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
-BENCHMARK(McxVerifyEnginePortfolioABC)
     ->DenseRange(499, 3499, 500)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);

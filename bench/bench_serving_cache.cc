@@ -1,23 +1,20 @@
 /**
  * @file
- * Serving-tier cache benchmark (PR 6): what a repeat client actually
- * pays at each level of the warm-cache hierarchy, on the MCX family.
+ * Serving-tier cache benchmark: what a repeat client pays with and
+ * without the result cache, on the MCX family.
  *
- * Three variants serve the same program N times through one
+ * Two variants serve the same program N times through one
  * ServingTier over one process-wide scheduler:
  *
  *   - ServeCold: both caches disabled - every request pays parse,
  *     elaboration, session construction and the full SAT race (the
- *     pre-PR 6 daemon, minus socket I/O);
- *   - ServeWarmSessions: program cache on, result cache off - repeats
- *     skip the frontend and verify through the entry's warm sessions
- *     (incremental encodings, learnt clauses, adapted lane order);
+ *     daemon minus socket I/O);
  *   - ServeResultHit: both caches on - repeats replay the memoized
  *     verdict and never touch the pool.
  *
  * The interesting counters are serve_s (mean per-request wall time
- * across the repeats) and the tier's hit/warm totals, which the stats
- * op exposes the same way in the live daemon.
+ * across the repeats) and the tier's result-hit total, which the
+ * stats op exposes the same way in the live daemon.
  */
 
 #include <benchmark/benchmark.h>
@@ -65,8 +62,6 @@ runServe(benchmark::State &state, std::size_t program_capacity,
         }
         state.counters["result_hits"] = static_cast<double>(
             tier.resultCounters().hits);
-        state.counters["warm_verifies"] =
-            static_cast<double>(tier.warmVerifies());
         state.counters["serve_s"] =
             benchmark::Counter(kRepeats,
                                benchmark::Counter::kIsIterationInvariantRate |
@@ -82,12 +77,6 @@ ServeCold(benchmark::State &state)
 }
 
 void
-ServeWarmSessions(benchmark::State &state)
-{
-    runServe(state, 64, 0);
-}
-
-void
 ServeResultHit(benchmark::State &state)
 {
     runServe(state, 64, 256);
@@ -96,11 +85,6 @@ ServeResultHit(benchmark::State &state)
 } // namespace
 
 BENCHMARK(ServeCold)
-    ->Arg(199)
-    ->Arg(499)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
-BENCHMARK(ServeWarmSessions)
     ->Arg(199)
     ->Arg(499)
     ->Unit(benchmark::kSecond)

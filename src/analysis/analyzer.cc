@@ -11,8 +11,6 @@ passName(Pass pass)
 {
     switch (pass) {
       case Pass::None:        return "none";
-      case Pass::Support:     return "support";
-      case Pass::Mirror:      return "mirror";
       case Pass::Affine:      return "affine";
       case Pass::Permutation: return "permutation";
     }
@@ -35,32 +33,11 @@ Analyzer::qubitFacts(ir::QubitId q)
 
     QubitFacts facts;
     if (circuit_.isClassical() && options_.anyPass()) {
-        if (options_.support) {
-            if (supportDischargesZero(circuit_, q))
-                facts.zeroDischargedBy = Pass::Support;
-            if (supportDischargesPlus(circuit_, q))
-                facts.plusDischargedBy = Pass::Support;
-        }
-        if (options_.mirror &&
-            (facts.zeroDischargedBy == Pass::None ||
-             facts.plusDischargedBy == Pass::None)) {
-            const MirrorFacts mirror = mirrorFacts(circuit_, q);
-            if (mirror.zeroUnsat &&
-                facts.zeroDischargedBy == Pass::None)
-                facts.zeroDischargedBy = Pass::Mirror;
-            if (mirror.plusUnsat &&
-                facts.plusDischargedBy == Pass::None)
-                facts.plusDischargedBy = Pass::Mirror;
-        }
-        if (options_.affine &&
-            (facts.zeroDischargedBy == Pass::None ||
-             facts.plusDischargedBy == Pass::None)) {
+        if (options_.affine) {
             const AffineFacts affine = affineFacts(q);
-            if (affine.zeroUnsat &&
-                facts.zeroDischargedBy == Pass::None)
+            if (affine.zeroUnsat)
                 facts.zeroDischargedBy = Pass::Affine;
-            if (affine.plusUnsat &&
-                facts.plusDischargedBy == Pass::None)
+            if (affine.plusUnsat)
                 facts.plusDischargedBy = Pass::Affine;
         }
         if (options_.permutation &&
@@ -113,8 +90,9 @@ Analyzer::affineFacts(ir::QubitId q)
                       final->constantOf(q) == std::optional(false);
     // (6.2): the cofactor disjunction is UNSAT when no OTHER wire's
     // final value may depend on initial q.  Exact rows make this
-    // strictly stronger than the support pass: cancelled
-    // contributions (w ^= q; w ^= q) do not count as dependence.
+    // strictly stronger than a syntactic cone-of-influence check:
+    // cancelled contributions (w ^= q; w ^= q) do not count as
+    // dependence.
     facts.plusUnsat = true;
     for (ir::QubitId other = 0; other < circuit_.numQubits(); ++other) {
         if (other != q && final->mayDependOn(other, q)) {

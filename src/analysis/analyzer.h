@@ -1,8 +1,7 @@
 /**
  * @file
- * Facade over the static dischargers (support.h, mirror.h,
- * dataflow.h's affine domain, permutation.h) as consumed by
- * core::VerificationEngine.
+ * Facade over the static dischargers (dataflow.h's affine domain,
+ * permutation.h) as consumed by core::VerificationEngine.
  *
  * The engine asks, per qubit, whether the zero-restoration condition
  * (6.1) and/or the plus-restoration condition (6.2) are provably
@@ -11,9 +10,14 @@
  * satisfiable, so enabling it can skip encode+SAT work but can never
  * change a verdict or a counterexample relative to a SAT-only run.
  *
- * Pass order is support, mirror, affine, permutation - cheapest
- * first - and the first pass to discharge a condition is credited in
- * the per-pass counters.  The affine pass is additionally exposed
+ * Pass order is affine, then permutation, and the first pass to
+ * discharge a condition is credited in the per-pass counters.  A
+ * syntactic cone-of-influence pass or a compute/uncompute mirror pass
+ * would add nothing here: the engine consults the analyzer only for
+ * conditions the formula arena did not fold to a constant, and the
+ * arena already folds both cases (a qubit outside every other wire's
+ * cone leaves identical cofactors, and exact mirrors cancel by
+ * hash-consed XOR).  The affine pass is additionally exposed
  * through affineFacts(): unlike the others it proves linear-circuit
  * restoration with NO window bound, so the engine consults it BEFORE
  * building a qubit's condition formulas - for purely linear cones the
@@ -31,32 +35,27 @@
 #include <vector>
 
 #include "analysis/dataflow.h"
-#include "analysis/mirror.h"
 #include "analysis/permutation.h"
-#include "analysis/support.h"
 
 namespace qb::analysis {
 
 /** Which dischargers run, and the permutation pass's window bound. */
 struct AnalysisOptions
 {
-    bool support = true;
-    bool mirror = true;
     bool affine = true;
     bool permutation = true;
     unsigned permutationWindow = kDefaultPermutationWindow;
 
     bool anyPass() const
     {
-        return support || mirror || affine || permutation;
+        return affine || permutation;
     }
 
     /** Everything off: SAT-only verification. */
     static AnalysisOptions none()
     {
         AnalysisOptions opts;
-        opts.support = opts.mirror = opts.affine = opts.permutation =
-            false;
+        opts.affine = opts.permutation = false;
         return opts;
     }
 };
@@ -64,14 +63,11 @@ struct AnalysisOptions
 /** Discharging pass, for attribution in stats and reports. */
 enum class Pass : std::uint8_t {
     None,
-    Support,
-    Mirror,
     Affine,
     Permutation,
 };
 
-/** Name of @p pass ("support", "mirror", "affine", "permutation",
- *  "none"). */
+/** Name of @p pass ("affine", "permutation", "none"). */
 const char *passName(Pass pass);
 
 /** Static verdicts for one qubit's two conditions. */
@@ -96,8 +92,7 @@ struct AffineFacts
 /**
  * Per-circuit analyzer: caches the work shared between qubits (the
  * affine ⊤ set and final state) and answers qubitFacts() queries.
- * The support and mirror passes run per qubit in O(gates) with one
- * bit per wire.  Analysis is lazy - nothing is computed until the
+ * Analysis is lazy - nothing is computed until the
  * first query - so sessions that never consult the analyzer pay
  * nothing.
  */

@@ -218,7 +218,7 @@ AffineState::applyGate(const ir::Gate &gate)
       }
       default:
         // Non-classical gate: no classical transition function
-        // exists; poison everything (matches SupportSets).
+        // exists; poison everything.
         poison();
         return;
     }

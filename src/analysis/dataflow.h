@@ -123,8 +123,8 @@ backwardTrace(const ir::Circuit &circuit,
  * GF(2)-affine value state: each wire's current value is tracked as
  * an exact XOR of a subset of INITIAL wire values plus a constant bit
  * (one bitset row per wire), or as ⊤ when any nonlinearity reached
- * it.  Unlike the support sets (support.h), non-⊤ rows are EXACT
- * function descriptions, not over-approximations: cancelled
+ * it.  Non-⊤ rows are EXACT function descriptions, not
+ * over-approximations of a syntactic cone of influence: cancelled
  * contributions (w ^= a; w ^= a) vanish from the row.
  *
  * Transfer functions:
@@ -137,8 +137,7 @@ backwardTrace(const ir::Circuit &circuit,
  *                          control degenerates to CNOT, none to X;
  *                          two or more (or any ⊤ control) drive the
  *                          target to ⊤.
- *   non-classical gate   : poisons the whole state (every wire ⊤),
- *                          matching SupportSets::applyGate.
+ *   non-classical gate   : poisons the whole state (every wire ⊤).
  *
  * A 64-bit digest of the whole state is maintained incrementally
  * (O(row) per mutation), so boundary-equality scans over long

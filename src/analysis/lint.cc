@@ -7,13 +7,27 @@
 #include <unordered_map>
 
 #include "analysis/dataflow.h"
-#include "analysis/mirror.h"
 #include "analysis/permutation.h"
 #include "lang/parser.h"
 #include "support/logging.h"
 #include "support/strings.h"
 
 namespace qb::analysis {
+
+bool
+selfInverseClassical(const ir::Gate &gate)
+{
+    switch (gate.kind()) {
+      case ir::GateKind::X:
+      case ir::GateKind::CNOT:
+      case ir::GateKind::CCNOT:
+      case ir::GateKind::MCX:
+      case ir::GateKind::Swap:
+        return true;
+      default:
+        return false;
+    }
+}
 
 namespace {
 

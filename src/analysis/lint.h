@@ -103,6 +103,14 @@ struct LintResult
     bool hasErrors() const { return errorCount() > 0; }
 };
 
+/**
+ * True for gates that are their own inverse AND permute the
+ * computational basis (X family and Swap): the redundant-gate rule's
+ * exact-pair scan cancels an adjacent identical pair of them to the
+ * identity.
+ */
+bool selfInverseClassical(const ir::Gate &gate);
+
 /** AST-layer rules only (works for unelaborable programs too). */
 void lintAst(const lang::Program &program,
              std::vector<Diagnostic> &out);

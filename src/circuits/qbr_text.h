@@ -76,8 +76,8 @@ std::string mirrorMcxQbrSource(std::uint32_t m);
  * Shape: a triangular CNOT mixing pass over n skip-verified inputs
  * (pulling every input into the cone), the dirty qubit w folded with
  * every mixed input, an X, the fold undone in a ROTATED gate order
- * (defeating the mirror pass's suffix scan; the formula arena would
- * fold an exact textual mirror by itself), and the X undone.  Every
+ * (so it is no exact textual mirror, which the formula arena would
+ * fold by itself), and the X undone.  Every
  * gate is linear, so the affine pass proves both conditions of
  * Theorem 6.4 UNSAT - and, because it is consulted BEFORE formula
  * construction, the engine also skips the O(wires x circuit) (6.2)

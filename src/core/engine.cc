@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <thread>
 #include <utility>
 
@@ -27,16 +26,6 @@ EngineOptions::portfolioAB()
 {
     EngineOptions o;
     o.lanes = {VerifierOptions::laneA(), VerifierOptions::laneB()};
-    o.portfolio = true;
-    return o;
-}
-
-EngineOptions
-EngineOptions::portfolioABC()
-{
-    EngineOptions o;
-    o.lanes = {VerifierOptions::laneA(), VerifierOptions::laneB(),
-               VerifierOptions::laneC()};
     o.portfolio = true;
     return o;
 }
@@ -133,13 +122,6 @@ struct VerificationEngine::Lane
     /** Serial task queue keeping this lane's condition stream ordered
      *  (persistent lanes only; scratch work is unordered). */
     std::shared_ptr<Scheduler::SerialQueue> queue;
-    /**
-     * Lane is in a learnt-clause exchange group: it must assert every
-     * condition even when the race is already decided, so that its
-     * solver-variable numbering stays the group's shared numbering
-     * (the soundness basis of verbatim clause exchange).
-     */
-    bool alwaysEncode = false;
     /** Queries since the last inprocessing pass (owned by the lane's
      *  serial task chain; see EngineOptions::inprocessInterval). */
     unsigned queriesSinceInprocess = 0;
@@ -306,43 +288,6 @@ VerificationEngine::VerificationEngine(
             cancelled_.store(true, std::memory_order_release);
     }
 
-    // Wire learnt-clause exchange between racing persistent lanes with
-    // identical encoder configuration: same mode, same XOR chunking,
-    // same arena, same condition order (enforced by alwaysEncode)
-    // means identical solver-variable numbering, so clauses travel
-    // verbatim.  Lanes outside such a group (scratch lanes, odd
-    // encodings) race without sharing, as before.
-    if (options_.portfolio) {
-        std::map<std::pair<int, unsigned>, std::vector<Lane *>> groups;
-        for (const auto &lane : lanes_) {
-            if (lane->scratch)
-                continue;
-            groups[{static_cast<int>(lane->options.encoding),
-                    lane->options.xorChunk}]
-                .push_back(lane.get());
-        }
-        for (auto &[key, group] : groups) {
-            if (group.size() < 2)
-                continue;
-            for (Lane *lane : group) {
-                std::vector<sat::Solver *> peers;
-                for (Lane *other : group)
-                    if (other != lane)
-                        peers.push_back(&other->solver);
-                lane->alwaysEncode = true;
-                ++engineStats.shareLanes;
-                lane->solver.setClauseExport(
-                    [peers](const sat::LitVec &clause, unsigned lbd) {
-                        // Forward the exporter's LBD: the importer
-                        // retires imports by it after their grace
-                        // epochs, so genuine glue survives and junk
-                        // ages out (bounded learnt DB).
-                        for (sat::Solver *peer : peers)
-                            peer->postImport(clause, lbd);
-                    });
-            }
-        }
-    }
 }
 
 VerificationEngine::~VerificationEngine()
@@ -375,25 +320,6 @@ VerificationEngine::waitIdle()
 {
     std::unique_lock<std::mutex> lock(fenceMutex);
     fenceIdle.wait(lock, [this] { return tasksInFlight == 0; });
-}
-
-void
-VerificationEngine::rearm(std::shared_ptr<CancelSource> cancel)
-{
-    // Quiesce stragglers of the previous request first: a task still
-    // in flight could observe the cancelled latch mid-flip.
-    waitIdle();
-    if (cancel_)
-        cancel_->detach(this);
-    cancel_ = std::move(cancel);
-    cancelled_.store(false, std::memory_order_release);
-    if (cancel_) {
-        cancel_->attach(this);
-        // Mirror the constructor: the new source may already have
-        // fired, and its requestCancel() sweep cannot have seen us.
-        if (cancel_->cancelRequested())
-            cancelled_.store(true, std::memory_order_release);
-    }
 }
 
 sat::SolverStats
@@ -435,8 +361,6 @@ analysisTotalsOf(const VerificationEngine::Stats &stats)
     AnalysisTotals totals;
     totals.discharged =
         static_cast<std::int64_t>(stats.analysisDischarged);
-    totals.support = static_cast<std::int64_t>(stats.analysisSupport);
-    totals.mirror = static_cast<std::int64_t>(stats.analysisMirror);
     totals.affine = static_cast<std::int64_t>(stats.analysisAffine);
     totals.permutation =
         static_cast<std::int64_t>(stats.analysisPermutation);
@@ -540,12 +464,6 @@ VerificationEngine::noteDischarge(analysis::Pass pass)
 {
     ++engineStats.analysisDischarged;
     switch (pass) {
-      case analysis::Pass::Support:
-        ++engineStats.analysisSupport;
-        break;
-      case analysis::Pass::Mirror:
-        ++engineStats.analysisMirror;
-        break;
       case analysis::Pass::Affine:
         ++engineStats.analysisAffine;
         break;
@@ -717,13 +635,10 @@ VerificationEngine::runPersistentTask(
     LaneOutcome &acc = race->partial[i];
     sat::IncrementalTseitin::Selector sel;
     if (acc.lane < 0) {
-        // First slice: encode the condition.  Share-group lanes encode
-        // even when the race is already decided - their solver
-        // variable numbering must stay the group's shared numbering.
+        // First slice: encode the condition, unless the race is
+        // already decided.
         acc.lane = lane.index;
-        const bool resolved =
-            race->stop.load(std::memory_order_acquire);
-        if (resolved && !lane.alwaysEncode) {
+        if (race->stop.load(std::memory_order_acquire)) {
             reportOutcome(*race, lane.index, std::move(acc));
             return;
         }
@@ -740,10 +655,10 @@ VerificationEngine::runPersistentTask(
                  "constant conditions decide upstream");
         // Epoch-style retention BETWEEN queries (first slice only -
         // later slices of the same condition keep everything): carry
-        // over only the high-value (low-LBD and imported) conflict
-        // clauses.  They are what makes repeated or structurally-
-        // related queries cheap, while the bulk of the learnt
-        // database would tax every propagation.
+        // over only the high-value (low-LBD) conflict clauses.  They
+        // are what makes repeated or structurally-related queries
+        // cheap, while the bulk of the learnt database would tax
+        // every propagation.
         lane.solver.shrinkLearnts(3);
         // Slice-boundary inprocessing: every inprocessInterval-th
         // query, vivify and subsume what the shrink kept, then let
@@ -1165,7 +1080,6 @@ VerificationEngine::verifyAllQubits(const ResultObserver &observer)
 {
     ProgramResult result;
     Timer timer;
-    const AnalysisTotals analysisBefore = analysisTotalsOf(engineStats);
     // Pipeline the whole circuit: queue every qubit's races before
     // awaiting the first verdict, so the worker pool crosses qubit
     // boundaries without draining.
@@ -1180,7 +1094,6 @@ VerificationEngine::verifyAllQubits(const ResultObserver &observer)
     }
     result.solverTotals = aggregateSolverStats();
     result.analysisTotals = analysisTotalsOf(engineStats);
-    result.analysisTotals.subtract(analysisBefore);
     result.totalSeconds = timer.seconds();
     return result;
 }
@@ -1207,59 +1120,25 @@ verifyAll(const lang::ElaboratedProgram &program,
           const std::shared_ptr<Scheduler> &scheduler,
           const std::shared_ptr<CancelSource> &cancel)
 {
-    // Sessions are built, used and dropped within this one run.
-    SessionSet sessions;
-    return verifyAll(program, options, observer, check_clean_ancillas,
-                     scheduler, cancel, sessions);
-}
-
-ProgramResult
-verifyAll(const lang::ElaboratedProgram &program,
-          const EngineOptions &options, const ResultObserver &observer,
-          bool check_clean_ancillas,
-          const std::shared_ptr<Scheduler> &scheduler,
-          const std::shared_ptr<CancelSource> &cancel,
-          SessionSet &sessions)
-{
     qbAssert(scheduler != nullptr, "verifyAll: null scheduler");
     ProgramResult result;
     Timer timer;
 
-    // Warm sessions carry cumulative analysis counters from earlier
-    // runs; snapshot them so this run reports only its own discharges
-    // (ProgramResult::analysisTotals is per-run).
-    std::map<std::pair<std::size_t, std::size_t>, AnalysisTotals>
-        analysisBaseline;
-    for (const auto &[key, session] : sessions.byScope)
-        analysisBaseline.emplace(key,
-                                 analysisTotalsOf(session->stats()));
-
     // One session per distinct borrow...release lifetime: qubits whose
     // scopes coincide (e.g. adder.qbr's a[1..n-1], all borrowed and
     // released together) share one arena and one solver per lane.
-    // Sessions already in @p sessions are WARM - built by an earlier
-    // run of the same program with the same options (the serving
-    // tier's warm cache) - and only need re-arming onto this run's
-    // CancelSource; their arenas, incremental encodings and learnt
-    // clauses carry over.
-    std::set<std::pair<std::size_t, std::size_t>> rearmed;
+    std::map<std::pair<std::size_t, std::size_t>,
+             std::unique_ptr<VerificationEngine>>
+        sessions;
     const auto sessionFor =
         [&](const lang::QubitInfo &info) -> VerificationEngine & {
-        const auto key = std::make_pair(info.scopeBegin, info.scopeEnd);
-        auto it = sessions.byScope.find(key);
-        if (it == sessions.byScope.end()) {
-            it = sessions.byScope
-                     .emplace(key,
-                              std::make_unique<VerificationEngine>(
-                                  program.circuit.slice(info.scopeBegin,
-                                                        info.scopeEnd),
-                                  options, scheduler, cancel))
-                     .first;
-            rearmed.insert(key);
-        } else if (rearmed.insert(key).second) {
-            it->second->rearm(cancel);
-        }
-        return *it->second;
+        std::unique_ptr<VerificationEngine> &session =
+            sessions[{info.scopeBegin, info.scopeEnd}];
+        if (!session)
+            session = std::make_unique<VerificationEngine>(
+                program.circuit.slice(info.scopeBegin, info.scopeEnd),
+                options, scheduler, cancel);
+        return *session;
     };
 
     // Pass 1 - pipeline: build and queue every qubit's races, in
@@ -1292,13 +1171,10 @@ verifyAll(const lang::ElaboratedProgram &program,
         if (observer)
             observer(result.qubits.back());
     }
-    for (auto &[key, session] : sessions.byScope) {
+    for (const auto &[scope, session] : sessions) {
         result.solverTotals.accumulate(session->aggregateSolverStats());
-        AnalysisTotals delta = analysisTotalsOf(session->stats());
-        const auto baseline = analysisBaseline.find(key);
-        if (baseline != analysisBaseline.end())
-            delta.subtract(baseline->second);
-        result.analysisTotals.accumulate(delta);
+        result.analysisTotals.accumulate(
+            analysisTotalsOf(session->stats()));
     }
     result.totalSeconds = timer.seconds();
     return result;

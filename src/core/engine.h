@@ -24,11 +24,7 @@
  * to the hardware (or EngineOptions::jobs): lanes are serial queues on
  * the pool, conditions are (qubit, condition) work items, and batch
  * verification pipelines whole circuits through the pool instead of
- * spawning threads per condition and barriering per qubit.  Racing
- * lanes whose incremental encoders are configured identically
- * additionally exchange low-LBD learnt clauses through the solver's
- * import/export hooks, so the "losing" lane's conflicts still prune
- * the winner's later queries.
+ * spawning threads per condition and barriering per qubit.
  *
  * The free functions of verifier.h remain as thin compatibility
  * wrappers over this class.
@@ -40,11 +36,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "analysis/analyzer.h"
@@ -149,14 +143,6 @@ struct EngineOptions
     static EngineOptions singleLane(const VerifierOptions &options);
     /** Both benchmark lanes racing, like the paper's solver pairing. */
     static EngineOptions portfolioAB();
-    /**
-     * Three-lane portfolio: the A/B pairing plus lane C, a second
-     * persistent lane that shares lane A's incremental encoding but
-     * branches differently.  A and C exchange learnt clauses (their
-     * identical encoder configuration makes solver variables
-     * interchangeable), so the portfolio keeps the loser's work.
-     */
-    static EngineOptions portfolioABC();
 };
 
 /** Streaming consumer of per-qubit results (batch verification). */
@@ -236,13 +222,9 @@ class VerificationEngine
          *  construction, window-free, so wide linear cones pay
          *  neither the (6.2) cofactor sweep nor any encoding. @{ */
         std::size_t analysisDischarged = 0;
-        std::size_t analysisSupport = 0;
-        std::size_t analysisMirror = 0;
         std::size_t analysisAffine = 0;
         std::size_t analysisPermutation = 0;
         /** @} */
-        /** Lanes wired into a learnt-clause exchange group. */
-        std::size_t shareLanes = 0;
         /** DAG nodes rewritten by the (6.2) cofactor sweeps, both
          *  polarities: linear in the circuit per qubit (regression
          *  tests count it instead of timing the build).  Not part of
@@ -318,8 +300,8 @@ class VerificationEngine
     }
 
     /**
-     * Counters of lane @p lane's persistent solver (exported/imported
-     * clause counts, conflicts...).  Quiesces the scheduler work of
+     * Counters of lane @p lane's persistent solver (conflicts, learnt
+     * clauses...).  Quiesces the scheduler work of
      * this session first, so it is safe - but blocking - mid-batch.
      */
     sat::SolverStats laneSolverStats(std::size_t lane);
@@ -336,18 +318,6 @@ class VerificationEngine
      * learnt-DB size, GC and inprocessing activity.
      */
     sat::SolverStats aggregateSolverStats();
-
-    /**
-     * Re-arm a WARM session for a new request (serving tier): wait
-     * for any straggler scheduler tasks, detach from the previous
-     * request's CancelSource, attach to @p cancel and reset the
-     * cancelled latch accordingly.  All session state that makes
-     * reuse profitable - the arena, each persistent lane's
-     * incremental encoding and learnt clauses, the condition cache -
-     * survives.  Must be called between verifications, never while a
-     * prepare()/finish() is outstanding.
-     */
-    void rearm(std::shared_ptr<CancelSource> cancel);
 
   private:
     friend class CancelSource;
@@ -477,43 +447,6 @@ ProgramResult verifyAll(const lang::ElaboratedProgram &program,
                         bool check_clean_ancillas,
                         const std::shared_ptr<Scheduler> &scheduler,
                         const std::shared_ptr<CancelSource> &cancel);
-
-/**
- * The warm sessions of one (program, engine options) pair, keyed by
- * circuit slice (scopeBegin, scopeEnd): what a verifyAll() run builds
- * and what a later run of the SAME program with the SAME options can
- * reuse instead of rebuilding arenas, encodings and solvers (the
- * serving tier's warm cache stores one SessionSet per cached program
- * per options key).  Sessions are stateful single-threaded objects:
- * a SessionSet must never be fed to two concurrent verifyAll() calls.
- */
-struct SessionSet
-{
-    std::map<std::pair<std::size_t, std::size_t>,
-             std::unique_ptr<VerificationEngine>>
-        byScope;
-
-    bool empty() const { return byScope.empty(); }
-};
-
-/**
- * verifyAll() with WARM session reuse: like the scheduler+cancel
- * overload, but sessions are taken from (and returned to) @p sessions.
- * Existing sessions are rearm()ed onto @p cancel; missing ones are
- * created and left in the set for the next run.  The caller guarantees
- * @p options matches the options the set's sessions were created with
- * (the serving tier keys its session storage by an options fingerprint
- * for exactly this reason).  Note ProgramResult::solverTotals is
- * CUMULATIVE over a session's lifetime, so warm runs report counters
- * that include earlier runs' work.
- */
-ProgramResult verifyAll(const lang::ElaboratedProgram &program,
-                        const EngineOptions &options,
-                        const ResultObserver &observer,
-                        bool check_clean_ancillas,
-                        const std::shared_ptr<Scheduler> &scheduler,
-                        const std::shared_ptr<CancelSource> &cancel,
-                        SessionSet &sessions);
 
 } // namespace qb::core
 

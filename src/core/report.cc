@@ -59,8 +59,8 @@ emitProgram(const ProgramResult &result,
                   safe, unsafe, other);
     out += nl;
     // Aggregated solver counters - persistent lanes plus retired
-    // scratch solvers: clause-DB health, exchange efficiency and the
-    // inprocessing/GC activity of this run's sessions.
+    // scratch solvers: clause-DB health and the inprocessing/GC
+    // activity of this run's sessions.
     const sat::SolverStats &s = result.solverTotals;
     const auto count = [](std::int64_t v) {
         return format("%lld", static_cast<long long>(v));
@@ -70,10 +70,6 @@ emitProgram(const ProgramResult &result,
     out += "\"conflicts\": " + count(s.conflicts) + ", ";
     out += "\"learnt_clauses\": " + count(s.learntClauses) + ", ";
     out += "\"removed_clauses\": " + count(s.removedClauses) + ", ";
-    out += "\"exported_clauses\": " + count(s.exportedClauses) + ", ";
-    out += "\"imported_clauses\": " + count(s.importedClauses) + ", ";
-    out += "\"imported_dropped\": " + count(s.importedDropped) + ", ";
-    out += "\"imported_retired\": " + count(s.importedRetired) + ", ";
     out += "\"bin_propagations\": " + count(s.binPropagations) + ", ";
     out += "\"otf_strengthened\": " +
            count(s.otfStrengthenedClauses) + ", ";
@@ -104,8 +100,6 @@ emitProgram(const ProgramResult &result,
     out += indent;
     out += "\"analysis\": {";
     out += "\"analysis_discharged\": " + count(a.discharged) + ", ";
-    out += "\"support\": " + count(a.support) + ", ";
-    out += "\"mirror\": " + count(a.mirror) + ", ";
     out += "\"affine\": " + count(a.affine) + ", ";
     out += "\"permutation\": " + count(a.permutation);
     out += "},";

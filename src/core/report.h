@@ -30,13 +30,12 @@ std::string toJson(const QubitResult &result);
  *   "total_seconds": <double>,
  *   "counts": {"safe": n, "unsafe": n, "undecided": n},
  *   "solver": { aggregated ProgramResult::solverTotals counters:
- *               conflicts, learnt/removed clauses, clause-exchange
- *               imported/exported/dropped, inprocessing (vivified,
- *               subsumed, strengthened), arena GC runs and peaks,
- *               binary-graph passes (scc_merged_vars, probed_failed,
- *               hyper_binaries, transitive_reduced) },
- *   "analysis": { "analysis_discharged": n, "support": n,
- *                 "mirror": n, "affine": n, "permutation": n },
+ *               conflicts, learnt/removed clauses, inprocessing
+ *               (vivified, subsumed, strengthened), arena GC runs and
+ *               peaks, binary-graph passes (scc_merged_vars,
+ *               probed_failed, hyper_binaries, transitive_reduced) },
+ *   "analysis": { "analysis_discharged": n, "affine": n,
+ *                 "permutation": n },
  *   "qubits": [ <QubitResult objects> ]
  * }
  */

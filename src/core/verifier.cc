@@ -37,20 +37,6 @@ VerifierOptions::laneB()
     return o;
 }
 
-VerifierOptions
-VerifierOptions::laneC()
-{
-    VerifierOptions o;
-    o.solver = sat::SolverConfig::baseline();
-    o.solver.initialPhaseTrue = true; // explore the opposite phase
-    o.solver.lubyRestarts = false;    // geometric restarts
-    o.solver.restartBase = 150;
-    o.solver.varDecay = 0.85;
-    o.encoding = sat::TseitinMode::PlaistedGreenbaum;
-    o.xorChunk = 4; // = laneA(): keeps the encodings interchangeable
-    return o;
-}
-
 // The free functions below are the original one-shot API, kept as the
 // compatibility surface.  Each one is a thin wrapper that spins up a
 // single-lane VerificationEngine session for exactly one query; code

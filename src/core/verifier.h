@@ -67,14 +67,6 @@ struct VerifierOptions
      */
     static VerifierOptions laneA();
     static VerifierOptions laneB();
-    /**
-     * A third racing lane: lane A's incremental encoding (same
-     * Plaisted-Greenbaum mode and XOR chunking, no preprocessing) with
-     * opposite branching phase and geometric restarts.  Because its
-     * encoder configuration is identical to lane A's, the engine wires
-     * the two into a learnt-clause exchange group in portfolio mode.
-     */
-    static VerifierOptions laneC();
 };
 
 /** Result of verifying one dirty qubit. */
@@ -112,36 +104,19 @@ struct QubitResult
 
 /**
  * Conditions the static analyzer (analysis/analyzer.h) proved UNSAT
- * without a SAT call, total and per discharging pass.  Unlike
- * ProgramResult::solverTotals (cumulative over each session's
- * lifetime) these counters are PER RUN: a warm (serving-tier) rerun
- * reports only its own discharges, so summing reports never counts a
- * discharge twice.
+ * without a SAT call, total and per discharging pass.
  */
 struct AnalysisTotals
 {
     std::int64_t discharged = 0; ///< conditions skipped entirely
-    std::int64_t support = 0;
-    std::int64_t mirror = 0;
     std::int64_t affine = 0;
     std::int64_t permutation = 0;
 
     void accumulate(const AnalysisTotals &other)
     {
         discharged += other.discharged;
-        support += other.support;
-        mirror += other.mirror;
         affine += other.affine;
         permutation += other.permutation;
-    }
-
-    void subtract(const AnalysisTotals &other)
-    {
-        discharged -= other.discharged;
-        support -= other.support;
-        mirror -= other.mirror;
-        affine -= other.affine;
-        permutation -= other.permutation;
     }
 };
 
@@ -162,7 +137,7 @@ struct ProgramResult
     sat::SolverStats solverTotals;
 
     /**
-     * Static-discharge counters of THIS run, aggregated over its
+     * Static-discharge counters, aggregated over the run's
      * sessions.  All zero when analysis is disabled
      * (analysis::AnalysisOptions::none()).
      */

@@ -7,9 +7,8 @@
  * ClauseAllocator design).  Each clause is a three-word header followed
  * by its literals inline:
  *
- *   word 0   size (29 bits) | learnt | imported | relocated
- *   word 1   import age (8 bits) | LBD (24 bits) - or, once
- *            relocated, the forwarding ClauseRef
+ *   word 0   size (30 bits) | learnt | relocated
+ *   word 1   LBD - or, once relocated, the forwarding ClauseRef
  *   word 2   activity (float bits)
  *   word 3+  literals
  *
@@ -38,7 +37,6 @@
 #ifndef QB_SAT_CLAUSE_ALLOCATOR_H
 #define QB_SAT_CLAUSE_ALLOCATOR_H
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -62,33 +60,12 @@ constexpr ClauseRef kRefUndef = 0xFFFFFFFFu;
 class Clause
 {
   public:
-    unsigned size() const { return header >> 3; }
+    unsigned size() const { return header >> kSizeShift; }
     bool learnt() const { return header & kLearntBit; }
-    bool imported() const { return header & kImportedBit; }
     bool relocated() const { return header & kRelocatedBit; }
 
-    unsigned lbd() const { return extra & kLbdMask; }
-    void setLbd(unsigned new_lbd)
-    {
-        extra = (extra & ~kLbdMask) | std::min(new_lbd, kLbdMask);
-    }
-
-    /**
-     * Shrink epochs an IMPORTED clause has survived (see
-     * Solver::shrinkLearnts): imports are exempt from LBD-based
-     * retention only until they age out, after which they are judged
-     * like ordinary learnt clauses - otherwise a long-lived lane's
-     * learnt database grows without bound under heavy exchange.
-     * Shares the extra word with the LBD (high 8 bits); both are
-     * overwritten by the forwarding address while relocated, and both
-     * survive relocation in the copied clause.
-     */
-    unsigned importAge() const { return extra >> kAgeShift; }
-    void bumpImportAge()
-    {
-        if (importAge() < 0xFF)
-            extra += 1u << kAgeShift;
-    }
+    unsigned lbd() const { return extra; }
+    void setLbd(unsigned new_lbd) { extra = new_lbd; }
 
     float activity() const
     {
@@ -128,7 +105,7 @@ class Clause
         for (unsigned i = 0; i < n; ++i) {
             if (ls[i] == l) {
                 ls[i] = ls[n - 1];
-                header -= 1u << 3;
+                header -= 1u << kSizeShift;
                 return;
             }
         }
@@ -139,10 +116,8 @@ class Clause
     friend class ClauseAllocator;
 
     static constexpr std::uint32_t kLearntBit = 1u;
-    static constexpr std::uint32_t kImportedBit = 2u;
-    static constexpr std::uint32_t kRelocatedBit = 4u;
-    static constexpr std::uint32_t kLbdMask = 0x00FFFFFFu;
-    static constexpr unsigned kAgeShift = 24;
+    static constexpr std::uint32_t kRelocatedBit = 2u;
+    static constexpr unsigned kSizeShift = 2;
 
     Lit *lits() { return reinterpret_cast<Lit *>(this + 1); }
     const Lit *lits() const
@@ -166,19 +141,20 @@ class ClauseAllocator
 
     /** Append a clause; invalidates outstanding Clause references. */
     ClauseRef alloc(const LitVec &lits, bool learnt, unsigned lbd,
-                    bool imported = false, float activity = 0.0f)
+                    float activity = 0.0f)
     {
         qbAssert(lits.size() >= 1, "alloc of empty clause");
-        qbAssert(lits.size() < (1u << 29), "clause too long for arena");
+        qbAssert(lits.size() < (1u << (32 - Clause::kSizeShift)),
+                 "clause too long for arena");
         const std::size_t need = kHeaderWords + lits.size();
         qbAssert(mem.size() + need < kRefUndef, "clause arena full");
         const auto ref = static_cast<ClauseRef>(mem.size());
         mem.resize(mem.size() + need);
         Clause &c = deref(ref);
-        c.header = (static_cast<std::uint32_t>(lits.size()) << 3) |
-                   (learnt ? Clause::kLearntBit : 0) |
-                   (imported ? Clause::kImportedBit : 0);
-        c.extra = std::min(lbd, Clause::kLbdMask); // import age 0
+        c.header =
+            (static_cast<std::uint32_t>(lits.size()) << Clause::kSizeShift) |
+            (learnt ? Clause::kLearntBit : 0);
+        c.extra = lbd;
         c.setActivity(activity);
         std::memcpy(c.begin(), lits.data(), lits.size() * sizeof(Lit));
         return ref;

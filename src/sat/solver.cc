@@ -47,9 +47,6 @@ SolverStats::accumulate(const SolverStats &other)
     learntClauses += other.learntClauses;
     removedClauses += other.removedClauses;
     eliminatedVars += other.eliminatedVars;
-    exportedClauses += other.exportedClauses;
-    importedClauses += other.importedClauses;
-    importedDropped += other.importedDropped;
     inprocessRuns += other.inprocessRuns;
     vivifiedClauses += other.vivifiedClauses;
     vivifiedLiterals += other.vivifiedLiterals;
@@ -62,7 +59,6 @@ SolverStats::accumulate(const SolverStats &other)
     probedFailed += other.probedFailed;
     hyperBinaries += other.hyperBinaries;
     transitiveReduced += other.transitiveReduced;
-    importedRetired += other.importedRetired;
     gcRuns += other.gcRuns;
     gcWordsReclaimed += other.gcWordsReclaimed;
     arenaPeakWords += other.arenaPeakWords;
@@ -1220,136 +1216,14 @@ Solver::shrinkLearnts(unsigned max_lbd)
     std::vector<ClauseRef> kept;
     kept.reserve(learntClauses.size());
     for (const ClauseRef cr : learntClauses) {
-        Clause &c = ca[cr];
-        if (locked(cr)) {
+        if (locked(cr) || ca[cr].lbd() <= max_lbd) {
             kept.push_back(cr);
             continue;
         }
-        // Imported clauses are exempt from the LBD judgement only for
-        // their first importedRetireEpochs shrink calls; after that
-        // they age out like ordinary learnts, so heavy exchange
-        // cannot grow the learnt database without bound.  The age
-        // field saturates at 255, so the config is clamped to keep
-        // retirement reachable for any setting.
-        if (c.imported() &&
-            c.importAge() <
-                std::min(cfg.importedRetireEpochs, 255u)) {
-            c.bumpImportAge();
-            kept.push_back(cr);
-            continue;
-        }
-        if (c.lbd() <= max_lbd) {
-            kept.push_back(cr);
-            continue;
-        }
-        if (c.imported())
-            ++statistics.importedRetired;
         removeClause(cr);
     }
     learntClauses = std::move(kept);
     maybeGarbageCollect();
-}
-
-void
-Solver::postImport(LitVec clause, unsigned lbd)
-{
-    const std::lock_guard<std::mutex> guard(importMutex);
-    importInbox.emplace_back(std::move(clause), lbd);
-    importPending.store(true, std::memory_order_release);
-}
-
-void
-Solver::drainImports()
-{
-    qbAssert(decisionLevel() == 0, "drainImports above root level");
-    std::vector<std::pair<LitVec, unsigned>> batch;
-    {
-        const std::lock_guard<std::mutex> guard(importMutex);
-        batch.swap(importInbox);
-        importPending.store(false, std::memory_order_release);
-    }
-    // Keep draining after a latched Unsat: addImported() counts the
-    // remaining offers as dropped, keeping the exchange stats honest.
-    for (auto &[clause, lbd] : batch)
-        addImported(std::move(clause), lbd);
-}
-
-void
-Solver::addImported(LitVec lits, unsigned import_lbd)
-{
-    // Like addClause(), but the result is a marked learnt clause: the
-    // exporter derived it, so it must stay eligible for reduction
-    // bookkeeping rather than count as problem structure.  Imports are
-    // dropped rather than restored against eliminated variables - a
-    // preprocessed solver never participates in exchange anyway.
-    //
-    // Counting contract: importedClauses counts clauses actually
-    // ADOPTED (attached, or enqueued as a root unit); every other
-    // offer - broken solver, eliminated state, unknown variables,
-    // already satisfied/tautological, or a root falsification that
-    // only latches Unsat - counts as importedDropped.
-    if (!okay || !elimStack.empty()) {
-        ++statistics.importedDropped;
-        return;
-    }
-    for (Lit &l : lits) {
-        // The exporting sibling can be ahead in the shared clause
-        // stream; a clause about structure this solver has not encoded
-        // yet is simply not useful here.
-        if (l.var() >= numVars()) {
-            ++statistics.importedDropped;
-            return;
-        }
-        // The exporter may not have merged the equivalence classes
-        // this solver has: route to local representatives (a correct
-        // translation - v and its representative are equivalent under
-        // the shared problem clauses).
-        l = representativeOf(l);
-    }
-    std::sort(lits.begin(), lits.end());
-    LitVec kept;
-    Lit prev = kUndefLit;
-    for (Lit l : lits) {
-        if (value(l) == LBool::True || l == ~prev) {
-            ++statistics.importedDropped;
-            return; // satisfied or tautological
-        }
-        if (value(l) != LBool::False && l != prev)
-            kept.push_back(l);
-        prev = l;
-    }
-    if (kept.empty()) {
-        // Every literal is false at the root: latch Unsat.  Nothing
-        // was adopted into the database, so this is a drop.
-        okay = false;
-        ++statistics.importedDropped;
-        return;
-    }
-    ++statistics.importedClauses;
-    if (kept.size() == 1) {
-        uncheckedEnqueue(kept[0], Reason());
-        okay = propagate() == kRefUndef;
-        return;
-    }
-    if (kept.size() == 2) {
-        // Imported binaries cost no arena words; the learnt flag
-        // keeps them eligible for the graph passes' bookkeeping.
-        attachBinary(kept[0], kept[1], /*learnt=*/true);
-        return;
-    }
-    // Honest LBD: keep the exporter's value when known, otherwise the
-    // clause size as the conservative bound.  The old min(size,
-    // shareMaxLbd) cap granted every import permanent glue status,
-    // which combined with the imported-clause shrink exemption to
-    // grow the learnt database without bound under heavy exchange.
-    const unsigned lbd = import_lbd != 0
-        ? import_lbd
-        : static_cast<unsigned>(kept.size());
-    const ClauseRef cr =
-        ca.alloc(kept, /*learnt=*/true, lbd, /*imported=*/true);
-    learntClauses.push_back(cr);
-    attachClause(cr);
-    notePeaks();
 }
 
 std::int64_t
@@ -1402,22 +1276,6 @@ Solver::search(std::int64_t conflict_limit)
             // has unlocked them.
             if (cfg.otfSubsume)
                 otfStrengthen();
-            // Glue clauses travel: a low-LBD consequence of the clause
-            // database is just as valid in a portfolio sibling solving
-            // the identical clause stream.
-            if (exportHook && lbd <= cfg.shareMaxLbd) {
-#ifdef QB_DEBUG_CHECKS
-                // Substituted variables are never assigned, so no
-                // learnt clause can name one - and exported clauses
-                // must not leak them to siblings either.
-                for (const Lit l : learnt)
-                    qbAssert(!substituted[l.var()],
-                             "exported clause names a substituted "
-                             "variable");
-#endif
-                exportHook(learnt, lbd);
-                ++statistics.exportedClauses;
-            }
             if (learnt.size() == 1) {
                 uncheckedEnqueue(learnt[0], Reason());
             } else if (learnt.size() == 2) {
@@ -1431,7 +1289,6 @@ Solver::search(std::int64_t conflict_limit)
             } else {
                 const ClauseRef cr =
                     ca.alloc(learnt, /*learnt=*/true, lbd,
-                             /*imported=*/false,
                              static_cast<float>(claInc));
                 learntClauses.push_back(cr);
                 ++statistics.learntClauses;
@@ -1582,11 +1439,6 @@ Solver::solve(const LitVec &assumps)
             return SolveResult::Unsat;
         }
     }
-    if (importPending.load(std::memory_order_acquire)) {
-        drainImports();
-        if (!okay)
-            return SolveResult::Unsat;
-    }
     // Root boundary: land the strengthenings the last call's conflict
     // analysis could not apply mid-search.
     if (cfg.otfDefer && !otfDeferred.empty()) {
@@ -1654,17 +1506,6 @@ Solver::solve(const LitVec &assumps)
             stopFlag->load(std::memory_order_relaxed)) {
             cancelUntil(0);
             return SolveResult::Unknown;
-        }
-        // Restart boundary: adopt whatever the portfolio siblings have
-        // shared since the last round.  Imports splice in at the root,
-        // where watch setup against a clean trail is trivial.
-        if (importPending.load(std::memory_order_acquire)) {
-            cancelUntil(0);
-            drainImports();
-            if (!okay) {
-                cancelUntil(0);
-                return SolveResult::Unsat;
-            }
         }
         // A restart that lands at the root is also a safe point for
         // the deferred strengthenings (assumption-based calls keep
@@ -1975,7 +1816,6 @@ Solver::vivifyLearnts()
         if (c.size() < 3)
             continue;
         const LitVec lits(c.begin(), c.end());
-        const bool was_imported = c.imported();
         const unsigned old_lbd = c.lbd();
         const float act = c.activity();
         // Clauses satisfied at the root are pure ballast.
@@ -2036,7 +1876,7 @@ Solver::vivifyLearnts()
             const unsigned lbd = std::min(
                 old_lbd, static_cast<unsigned>(kept.size()));
             const ClauseRef nr =
-                ca.alloc(kept, /*learnt=*/true, lbd, was_imported, act);
+                ca.alloc(kept, /*learnt=*/true, lbd, act);
             learntClauses[idx] = nr;
             attachClause(nr);
             notePeaks(); // replacements grow the arena tail
@@ -2348,7 +2188,6 @@ Solver::cleanRootClauses()
                 ++statistics.strengthenedClauses;
             }
             const bool learnt = c.learnt();
-            const bool imported = c.imported();
             const unsigned lbd = c.lbd();
             const float act = c.activity();
             detachClause(cr);
@@ -2359,7 +2198,7 @@ Solver::cleanRootClauses()
                     kept, learnt,
                     std::min(lbd,
                              static_cast<unsigned>(kept.size())),
-                    imported, act);
+                    act);
                 (*list)[i] = nr;
                 attachClause(nr);
                 ++i;
@@ -2583,7 +2422,6 @@ Solver::applyEquivalences()
             for (const Lit l : c)
                 lits.push_back(representativeOf(l));
             const bool learnt = c.learnt();
-            const bool imported = c.imported();
             const unsigned lbd = c.lbd();
             const float act = c.activity();
             std::sort(lits.begin(), lits.end());
@@ -2609,7 +2447,7 @@ Solver::applyEquivalences()
                     kept, learnt,
                     std::min(lbd,
                              static_cast<unsigned>(kept.size())),
-                    imported, act);
+                    act);
                 (*list)[i] = nr;
                 attachClause(nr);
                 ++i;

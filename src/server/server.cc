@@ -122,7 +122,7 @@ struct Server::Impl
     /** THE process-wide SAT worker pool, shared by every request. */
     std::shared_ptr<core::Scheduler> scheduler;
     RequestQueue queue;
-    /** Warm-cache layer between the workers and the engine. */
+    /** Cache layer between the workers and the engine. */
     serving::ServingTier tier;
     const std::chrono::steady_clock::time_point startTime =
         std::chrono::steady_clock::now();
@@ -463,7 +463,6 @@ Server::Impl::handleLine(
         };
         fill(snapshot.programCache, tier.programCounters());
         fill(snapshot.resultCache, tier.resultCounters());
-        snapshot.warmVerifies = tier.warmVerifies();
         {
             const std::lock_guard<std::mutex> guard(connectionsMutex);
             snapshot.activeConnections = connections.size();
@@ -683,11 +682,11 @@ Server::Impl::serveRequest(QueuedRequest item)
             if (!connection->open.load(std::memory_order_acquire))
                 cancel->requestCancel();
         };
-    // The serving tier owns elaboration (hash-consed per source),
-    // memoized verdicts and warm sessions; a result-cache hit replays
-    // the stored qubit frames through the observer and never touches
-    // the pool.  Elaboration of a MISS runs on this worker thread,
-    // off the SAT pool, as before.
+    // The serving tier owns elaboration (hash-consed per source) and
+    // memoized verdicts; a result-cache hit replays the stored qubit
+    // frames through the observer and never touches the pool.
+    // Elaboration of a MISS runs on this worker thread, off the SAT
+    // pool, as before.
     serving::ServingTier::Outcome outcome;
     try {
         outcome = tier.verify(

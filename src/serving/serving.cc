@@ -1,7 +1,6 @@
 #include "serving/serving.h"
 
 #include <chrono>
-#include <utility>
 
 #include "support/logging.h"
 #include "support/strings.h"
@@ -29,8 +28,7 @@ ServingTier::optionsFingerprint(const core::EngineOptions &engine_opts,
     // discharge counters) even though verdicts are unaffected, so they
     // key the cache too.
     const analysis::AnalysisOptions &an = engine_opts.analysis;
-    key += format("an%d%d%d%d.w%u;", an.support ? 1 : 0,
-                  an.mirror ? 1 : 0, an.affine ? 1 : 0,
+    key += format("an%d%d.w%u;", an.affine ? 1 : 0,
                   an.permutation ? 1 : 0, an.permutationWindow);
     for (const core::VerifierOptions &lane : engine_opts.lanes) {
         const sat::SolverConfig &s = lane.solver;
@@ -49,7 +47,8 @@ ServingTier::optionsFingerprint(const core::EngineOptions &engine_opts,
 
 ServingTier::Outcome
 ServingTier::verify(const std::string &source,
-                    core::EngineOptions engine_opts, bool check_clean,
+                    const core::EngineOptions &engine_opts,
+                    bool check_clean,
                     const std::string &options_key,
                     const core::ResultObserver &observer,
                     const std::shared_ptr<core::Scheduler> &scheduler,
@@ -71,18 +70,14 @@ ServingTier::verify(const std::string &source,
         return out;
     };
 
-    if (const auto stored = results_.lookup(hash, source, options_key))
+    // A miss here is not final (an identical submission may be about
+    // to publish); the re-check under the entry lock counts it.
+    if (const auto stored = results_.lookup(hash, source, options_key,
+                                            /*count_miss=*/false))
         return replay(*stored);
 
-    // Hash-cons the program; a fresh entry elaborates here and gets
-    // the next fairness band.  Same 1..1024 rotation the server used
-    // per request, now pinned per PROGRAM (warm sessions bake their
-    // band in at construction).
-    const unsigned band =
-        1 + (bandCounter_.fetch_add(1, std::memory_order_relaxed) &
-             0x3ffu);
-    const std::shared_ptr<ProgramEntry> entry =
-        programs_.acquire(source, band);
+    // Hash-cons the program; a fresh entry elaborates here.
+    const std::shared_ptr<ProgramEntry> entry = programs_.acquire(source);
     if (!entry->elaborationError.empty()) {
         Outcome out;
         out.failed = true;
@@ -90,10 +85,7 @@ ServingTier::verify(const std::string &source,
         return out;
     }
 
-    // Single-flight per (program, options fingerprint), and warm
-    // session checkout.
-    core::SessionSet sessions;
-    bool warm = false;
+    // Single-flight per (program, options fingerprint).
     {
         std::unique_lock<std::mutex> lock(entry->mutex);
         while (entry->computing.count(options_key) != 0) {
@@ -116,23 +108,14 @@ ServingTier::verify(const std::string &source,
                 results_.lookup(hash, source, options_key))
             return replay(*stored);
         entry->computing.insert(options_key);
-        core::SessionSet &slot = entry->sessions[options_key];
-        warm = !slot.empty();
-        sessions = std::move(slot);
     }
-    if (warm)
-        warmVerifies_.fetch_add(1, std::memory_order_relaxed);
 
-    // Warm sessions were built in (and must keep racing in) the
-    // entry's pinned band.
-    engine_opts.fairnessBand = entry->band;
     Outcome out;
-    out.warmSessions = warm;
     bool threw = false;
     try {
         out.result = core::verifyAll(*entry->program, engine_opts,
                                      observer, check_clean, scheduler,
-                                     cancel, sessions);
+                                     cancel);
     } catch (const FatalError &e) {
         threw = true;
         out.failed = true;
@@ -141,10 +124,8 @@ ServingTier::verify(const std::string &source,
 
     {
         const std::lock_guard<std::mutex> guard(entry->mutex);
-        // Return the sessions (warm for the next request) and clear
-        // the single-flight mark even on failure, so waiters can take
-        // over.
-        entry->sessions[options_key] = std::move(sessions);
+        // Clear the single-flight mark even on failure, so waiters
+        // can take over.
         entry->computing.erase(options_key);
         const bool cancelled = cancel && cancel->cancelRequested();
         if (!threw && !cancelled)
@@ -165,12 +146,6 @@ CacheCounters
 ServingTier::resultCounters() const
 {
     return results_.counters();
-}
-
-std::uint64_t
-ServingTier::warmVerifies() const
-{
-    return warmVerifies_.load(std::memory_order_relaxed);
 }
 
 } // namespace qb::serving

@@ -11,11 +11,12 @@
  *      observer and return the stored ProgramResult, byte-identical
  *      to the run that produced it.  No scheduler work at all.
  *   2. PROGRAM HIT, no verdict - the source is known: skip parsing
- *      and elaboration, and verify through the program's WARM
- *      sessions (same arena, incremental encodings, learnt clauses)
- *      instead of rebuilding them.
- *   3. MISS - elaborate, build sessions, verify; everything learnt
- *      stays warm for the next request.
+ *      and elaboration and verify the cached elaborated program.
+ *   3. MISS - elaborate, then verify.
+ *
+ * Every verification builds fresh engine sessions, so a report's
+ * solver and analysis counters are that run's own work whatever the
+ * cache state.
  *
  * Identical concurrent submissions are SINGLE-FLIGHT per (program,
  * options fingerprint): one request computes, the others wait on the
@@ -30,8 +31,6 @@
 #ifndef QB_SERVING_SERVING_H
 #define QB_SERVING_SERVING_H
 
-#include <atomic>
-#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -61,8 +60,6 @@ class ServingTier
         std::string error;
         /** Answered from the result cache (no SAT work). */
         bool fromResultCache = false;
-        /** Verified through reused warm sessions. */
-        bool warmSessions = false;
     };
 
     explicit ServingTier(ServingOptions options);
@@ -72,13 +69,12 @@ class ServingTier
      *
      * @param source       program text (the cache key).
      * @param engine_opts  fully RESOLVED engine options (server
-     *                     defaults + per-request overrides); the
-     *                     fairnessBand field is overridden by the
-     *                     cached program's pinned band.
+     *                     defaults + per-request overrides, including
+     *                     the request's fairness band).
      * @param check_clean  clean-ancilla checking on/off.
      * @param options_key  fingerprint of every option that affects
      *                     the result (see optionsFingerprint());
-     *                     cache key half and session-storage key.
+     *                     the result cache's key half.
      * @param observer     per-qubit streaming callback (replayed
      *                     verbatim on a result hit).
      * @param scheduler    the process-wide pool.
@@ -86,7 +82,8 @@ class ServingTier
      *                     null).
      */
     Outcome verify(const std::string &source,
-                   core::EngineOptions engine_opts, bool check_clean,
+                   const core::EngineOptions &engine_opts,
+                   bool check_clean,
                    const std::string &options_key,
                    const core::ResultObserver &observer,
                    const std::shared_ptr<core::Scheduler> &scheduler,
@@ -106,15 +103,10 @@ class ServingTier
 
     CacheCounters programCounters() const;
     CacheCounters resultCounters() const;
-    /** Verifications that reused a warm SessionSet (monotonic). */
-    std::uint64_t warmVerifies() const;
 
   private:
     ProgramCache programs_;
     ResultCache results_;
-    std::atomic<std::uint64_t> warmVerifies_{0};
-    /** Fairness bands handed to new program entries. */
-    std::atomic<unsigned> bandCounter_{0};
 };
 
 } // namespace qb::serving

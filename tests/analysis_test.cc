@@ -4,16 +4,15 @@
  *
  *  - unit tests for the dataflow engine and its three lattice domains
  *    (GF(2)-affine, constants, backward liveness), gate by gate;
- *  - unit tests for the four dischargers (support, mirror, affine,
- *    permutation), including near-miss circuits that must NOT
- *    discharge;
+ *  - unit tests for the two dischargers (affine, permutation),
+ *    including near-miss circuits that must NOT discharge;
  *  - soundness cross-checks: verdicts with analysis enabled must be
  *    identical to SAT-only verdicts, on hand-built circuits and on
  *    randomly generated programs up to width 64;
  *  - golden-diagnostic tests for the lint driver, asserting exact
  *    line/column/rule/severity;
  *  - the serving-tier options fingerprint covering every
- *    AnalysisOptions field (with a compile-time size witness).
+ *    AnalysisOptions field (with a compile-time field-count check).
  */
 
 #include <gtest/gtest.h>
@@ -23,9 +22,7 @@
 #include "analysis/analyzer.h"
 #include "analysis/dataflow.h"
 #include "analysis/lint.h"
-#include "analysis/mirror.h"
 #include "analysis/permutation.h"
-#include "analysis/support.h"
 #include "circuits/qbr_text.h"
 #include "core/engine.h"
 #include "core/report.h"
@@ -73,77 +70,6 @@ randomGateSoup(std::uint64_t seed, bool quantum)
         }
     }
     return c;
-}
-
-TEST(Support, CnotTransfersControlSupportToTarget)
-{
-    Circuit c(3);
-    c.append(Gate::cnot(0, 1));
-    const SupportSets s = supportsOf(c);
-    EXPECT_FALSE(s.poisoned());
-    EXPECT_TRUE(s.mayDependOn(1, 0));
-    EXPECT_TRUE(s.mayDependOn(1, 1));
-    EXPECT_FALSE(s.mayDependOn(0, 1)); // control unchanged
-    EXPECT_FALSE(s.mayDependOn(2, 0)); // untouched wire
-}
-
-TEST(Support, SwapExchangesSupportRows)
-{
-    Circuit c(3);
-    c.append(Gate::cnot(0, 1)); // wire 1 depends on {0, 1}
-    c.append(Gate::swap(1, 2));
-    const SupportSets s = supportsOf(c);
-    EXPECT_TRUE(s.mayDependOn(2, 0));
-    EXPECT_TRUE(s.mayDependOn(2, 1));
-    EXPECT_FALSE(s.mayDependOn(1, 0)); // old wire-2 value: just {2}
-    EXPECT_TRUE(s.mayDependOn(1, 2));
-}
-
-TEST(Support, NonClassicalGatePoisonsAllFacts)
-{
-    Circuit c(2);
-    c.append(Gate::h(0));
-    const SupportSets s = supportsOf(c);
-    EXPECT_TRUE(s.poisoned());
-    // Poisoned answers are conservative: everything may depend on
-    // everything.
-    EXPECT_TRUE(s.mayDependOn(1, 0));
-}
-
-TEST(Support, DischargesPlusForUntouchedQubit)
-{
-    Circuit c(3);
-    c.append(Gate::cnot(0, 1));
-    // No other output depends on input 2: (6.2) discharged.
-    EXPECT_TRUE(supportDischargesPlus(c, 2));
-    // Wire 1 depends on input 0: not discharged for qubit 0.
-    EXPECT_FALSE(supportDischargesPlus(c, 0));
-}
-
-TEST(Support, PlusCheckReadsExactlyColumnQOfTheFullSets)
-{
-    // supportDischargesPlus() folds one column instead of building
-    // every support set; it must answer exactly what the full sets do.
-    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-        const Circuit c = randomGateSoup(seed, false);
-        const SupportSets sets = supportsOf(c);
-        for (ir::QubitId q = 0; q < c.numQubits(); ++q) {
-            bool independent = true;
-            for (ir::QubitId w = 0; w < c.numQubits(); ++w)
-                independent =
-                    independent && (w == q || !sets.mayDependOn(w, q));
-            EXPECT_EQ(independent, supportDischargesPlus(c, q))
-                << "seed " << seed << " qubit " << q;
-        }
-    }
-}
-
-TEST(Support, DischargesZeroOnlyWhenNeverWritten)
-{
-    Circuit c(2);
-    c.append(Gate::cnot(0, 1));
-    EXPECT_TRUE(supportDischargesZero(c, 0));
-    EXPECT_FALSE(supportDischargesZero(c, 1));
 }
 
 // ------------------------------------------- dataflow: affine domain
@@ -401,7 +327,7 @@ TEST(DataflowEngine, WritesWireSeesTargetsAndSwapOperands)
     EXPECT_TRUE(writesWire(c, 2));
 }
 
-// ------------------------------------------------------------- mirror
+// ------------------------------------------------ mirrored circuit
 
 /** G ; B ; rev(G) with B on wires G never touches. */
 Circuit
@@ -414,90 +340,6 @@ cleanMirrorCircuit()
     c.append(Gate::x(1));       // rev(G)
     c.append(Gate::cnot(0, 1)); // rev(G)
     return c;
-}
-
-TEST(Mirror, PrefixLengthOfExplicitMirror)
-{
-    EXPECT_EQ(2u, mirrorPrefix(cleanMirrorCircuit()));
-
-    Circuit pal(2);
-    pal.append(Gate::cnot(0, 1));
-    pal.append(Gate::cnot(0, 1));
-    EXPECT_EQ(1u, mirrorPrefix(pal)); // empty middle block
-
-    Circuit plain(2);
-    plain.append(Gate::cnot(0, 1));
-    plain.append(Gate::x(0));
-    EXPECT_EQ(0u, mirrorPrefix(plain));
-}
-
-TEST(Mirror, NonSelfInverseGatesNeverMirror)
-{
-    // H is its own inverse as a unitary but is NOT a classical
-    // permutation: the pass must refuse it.
-    Circuit c(1);
-    c.append(Gate::h(0));
-    c.append(Gate::h(0));
-    EXPECT_EQ(0u, mirrorPrefix(c));
-    EXPECT_FALSE(selfInverseClassical(Gate::h(0)));
-    EXPECT_TRUE(selfInverseClassical(Gate::x(0)));
-    EXPECT_TRUE(selfInverseClassical(Gate::swap(0, 1)));
-    EXPECT_TRUE(selfInverseClassical(Gate::ccnot(0, 1, 2)));
-}
-
-TEST(Mirror, DischargesBothConditionsForMirroredQubit)
-{
-    const Circuit c = cleanMirrorCircuit();
-    const MirrorFacts f = mirrorFacts(c, 1);
-    EXPECT_TRUE(f.zeroUnsat);
-    EXPECT_TRUE(f.plusUnsat);
-}
-
-TEST(Mirror, NearMissMiddleWritesMirroredWireDoesNotDischarge)
-{
-    // Same mirror, but B writes wire 1 - a wire G touches.  The
-    // rewind sees a clobbered value, so NOTHING may be discharged.
-    Circuit c(4);
-    c.append(Gate::cnot(0, 1));
-    c.append(Gate::x(1));
-    c.append(Gate::cnot(2, 1)); // B writes into Op(G)
-    c.append(Gate::x(1));
-    c.append(Gate::cnot(0, 1));
-    const MirrorFacts f1 = mirrorFacts(c, 1);
-    EXPECT_FALSE(f1.zeroUnsat);
-    EXPECT_FALSE(f1.plusUnsat);
-    const MirrorFacts f0 = mirrorFacts(c, 0);
-    EXPECT_FALSE(f0.zeroUnsat);
-    EXPECT_FALSE(f0.plusUnsat);
-}
-
-TEST(Mirror, NearMissTaintedControlKeepsPlusUndischarged)
-{
-    // B = CNOT[1, 3]: its target 3 is outside Op(G), so the zero
-    // condition still discharges for qubit 1, but B READS wire 1 -
-    // whose value is tainted by input 1 - so wire 3's output depends
-    // on input 1 and the plus condition must NOT be discharged.
-    Circuit c(4);
-    c.append(Gate::cnot(0, 1));
-    c.append(Gate::x(1));
-    c.append(Gate::cnot(1, 3)); // B reads the tainted wire
-    c.append(Gate::x(1));
-    c.append(Gate::cnot(0, 1));
-    const MirrorFacts f = mirrorFacts(c, 1);
-    EXPECT_TRUE(f.zeroUnsat);
-    EXPECT_FALSE(f.plusUnsat);
-    // And indeed the qubit is truly unsafe: SAT agrees (soundness of
-    // NOT discharging - the skipped claim was genuinely needed).
-    EXPECT_EQ(core::Verdict::Unsafe, core::verifyQubit(c, 1).verdict);
-}
-
-TEST(Mirror, QubitWrittenByMiddleBlockNotDischarged)
-{
-    const Circuit c = cleanMirrorCircuit();
-    // Qubit 3 is written by B itself: q in T(B), no discharge.
-    const MirrorFacts f = mirrorFacts(c, 3);
-    EXPECT_FALSE(f.zeroUnsat);
-    EXPECT_FALSE(f.plusUnsat);
 }
 
 // -------------------------------------------------------- permutation
@@ -549,13 +391,15 @@ TEST(Permutation, NonClassicalGateOutsideConeIsIgnored)
 
 // ----------------------------------------------------------- analyzer
 
-TEST(Analyzer, CreditsMirrorPassOnMirroredCircuit)
+TEST(Analyzer, CreditsAffinePassOnMirroredCircuit)
 {
+    // G ; B ; rev(G) over CNOT/X is linear: the affine pass proves
+    // both conditions, and is credited for them.
     const Circuit c = cleanMirrorCircuit();
     Analyzer analyzer(c, AnalysisOptions{});
     const QubitFacts &f = analyzer.qubitFacts(1);
-    EXPECT_NE(Pass::None, f.zeroDischargedBy);
-    EXPECT_NE(Pass::None, f.plusDischargedBy);
+    EXPECT_EQ(Pass::Affine, f.zeroDischargedBy);
+    EXPECT_EQ(Pass::Affine, f.plusDischargedBy);
 }
 
 TEST(Analyzer, AllPassesOffDischargesNothing)
@@ -582,13 +426,12 @@ TEST(Analyzer, NonClassicalCircuitDischargesNothing)
 
 TEST(AffinePass, ExactRowsBeatTheSupportApproximation)
 {
-    // CNOT[0,1]; CNOT[0,1]: wire 1 provably forgets input 0.  The
-    // support sets cannot see the cancellation - supportDischargesPlus
-    // stays false - but the affine rows are exact and discharge (6.2).
+    // CNOT[0,1]; CNOT[0,1]: wire 1 provably forgets input 0.  Its
+    // syntactic cone of influence still contains input 0, but the
+    // affine rows are exact and discharge (6.2).
     Circuit c(2);
     c.append(Gate::cnot(0, 1));
     c.append(Gate::cnot(0, 1));
-    EXPECT_FALSE(supportDischargesPlus(c, 0));
     Analyzer analyzer(c, AnalysisOptions{});
     const AffineFacts f = analyzer.affineFacts(0);
     EXPECT_TRUE(f.zeroUnsat);
@@ -744,9 +587,8 @@ TEST(AffinePass, OffOptionAndNonClassicalCircuitsClaimNothing)
 TEST(AffinePass, DischargesWideLinearConeBeyondPermutationWindow)
 {
     // The acceptance circuit: a 65-wire cone the permutation pass
-    // must refuse (TooWide) and the mirror pass cannot match (the
-    // unfold is rotated), proved restored by the affine sweep with no
-    // window bound at all.
+    // must refuse (TooWide), proved restored by the affine sweep with
+    // no window bound at all.
     const auto prog = lang::elaborateSource(
         circuits::wideLinearMirrorQbrSource(64));
     const auto verify =
@@ -759,7 +601,6 @@ TEST(AffinePass, DischargesWideLinearConeBeyondPermutationWindow)
     EXPECT_EQ(65u, scope.numQubits());
     EXPECT_EQ(PermutationVerdict::TooWide,
               permutationCheck(scope, w, kDefaultPermutationWindow));
-    EXPECT_EQ(0u, mirrorPrefix(scope));
 
     Analyzer analyzer(scope, AnalysisOptions{});
     const AffineFacts f = analyzer.affineFacts(w);
@@ -778,7 +619,7 @@ TEST(AffinePass, DischargesWideLinearConeBeyondPermutationWindow)
  * within its window and discharges it statically.  (Exact textbook
  * mirrors never reach the analyzer at engine level: the arena's
  * hash-consing cancels rev(G) node-for-node and both conditions fold
- * to constants first; see the Mirror unit tests for the pass itself.)
+ * to constants first.)
  */
 Circuit
 nonFoldingRestoreCircuit()
@@ -831,9 +672,7 @@ TEST(EngineAnalysis, TotalsAndReportJsonCarryDischarges)
     EXPECT_EQ(core::Verdict::Safe, result.qubits[0].verdict);
     EXPECT_GE(result.analysisTotals.discharged, 1);
     EXPECT_EQ(result.analysisTotals.discharged,
-              result.analysisTotals.support +
-                  result.analysisTotals.mirror +
-                  result.analysisTotals.affine +
+              result.analysisTotals.affine +
                   result.analysisTotals.permutation);
     const std::string json = core::toJson(result, "mirror.qbr");
     EXPECT_NE(std::string::npos, json.find("\"analysis\":"));
@@ -1023,6 +862,16 @@ only(const LintResult &result)
 {
     EXPECT_EQ(1u, result.diagnostics.size());
     return result.diagnostics.front();
+}
+
+TEST(Lint, SelfInverseClassicalExcludesNonPermutationGates)
+{
+    // H is its own inverse as a unitary but is NOT a classical
+    // permutation: the redundant-gate pair scan must not cancel it.
+    EXPECT_FALSE(selfInverseClassical(Gate::h(0)));
+    EXPECT_TRUE(selfInverseClassical(Gate::x(0)));
+    EXPECT_TRUE(selfInverseClassical(Gate::swap(0, 1)));
+    EXPECT_TRUE(selfInverseClassical(Gate::ccnot(0, 1, 2)));
 }
 
 TEST(Lint, BorrowNotRestoredIsAnErrorWithExactLocation)
@@ -1300,24 +1149,13 @@ TEST(ServingFingerprint, AnalysisOptionsAreResultAffecting)
 
 TEST(ServingFingerprint, EveryAnalysisOptionsFieldIsResultAffecting)
 {
-    // Compile-time completeness gate: this witness mirrors
-    // AnalysisOptions field for field.  If AnalysisOptions grows (or
-    // shrinks), the sizes diverge and this static_assert names the
-    // three places to update in lockstep: the witness + flips below
-    // and the "an..." encoder in ServingTier::optionsFingerprint().
-    struct AnalysisOptionsWitness
-    {
-        bool support;
-        bool mirror;
-        bool affine;
-        bool permutation;
-        unsigned permutationWindow;
-    };
-    static_assert(sizeof(AnalysisOptionsWitness) ==
-                      sizeof(AnalysisOptions),
-                  "AnalysisOptions changed shape: update the witness, "
-                  "the per-field flips below, and "
-                  "ServingTier::optionsFingerprint()");
+    // Compile-time completeness gate: the structured binding names
+    // every AnalysisOptions field, so adding or removing one fails to
+    // compile here.  Update in lockstep: the binding, the per-field
+    // flips below and the "an..." encoder in
+    // ServingTier::optionsFingerprint().
+    [[maybe_unused]] const auto [affine_field, permutation_field,
+                                 window_field] = AnalysisOptions{};
 
     const auto fp = [](const core::EngineOptions &o) {
         return serving::ServingTier::optionsFingerprint(o, false);
@@ -1328,10 +1166,6 @@ TEST(ServingFingerprint, EveryAnalysisOptionsFieldIsResultAffecting)
         mutate(o.analysis);
         return fp(o);
     };
-    const std::string support =
-        flipped([](AnalysisOptions &a) { a.support = false; });
-    const std::string mirror =
-        flipped([](AnalysisOptions &a) { a.mirror = false; });
     const std::string affine =
         flipped([](AnalysisOptions &a) { a.affine = false; });
     const std::string permutation =
@@ -1340,8 +1174,7 @@ TEST(ServingFingerprint, EveryAnalysisOptionsFieldIsResultAffecting)
         [](AnalysisOptions &a) { a.permutationWindow = 7; });
     // Each single-field flip changes the key, and no two flips
     // collide with each other.
-    const std::string keys[] = {fp(base),     support, mirror,
-                                affine,       permutation, window};
+    const std::string keys[] = {fp(base), affine, permutation, window};
     for (std::size_t i = 0; i < std::size(keys); ++i)
         for (std::size_t j = i + 1; j < std::size(keys); ++j)
             EXPECT_NE(keys[i], keys[j]) << i << " vs " << j;

@@ -8,8 +8,8 @@
  * jobs run it explicitly so GC relocation and the in-place clause
  * edits are exercised under both sanitizers.  Coverage follows the
  * reduceDb/GC interaction contract: locked (reason) clauses survive
- * relocation with valid references, imported clauses survive
- * shrinkLearnts() + GC, inprocessing never changes verdicts, and a
+ * relocation with valid references, inprocessing never changes
+ * verdicts, and a
  * solver that GCs mid-session returns identical verdicts AND
  * counterexamples under --jobs 1 and --jobs N.
  */
@@ -120,27 +120,6 @@ TEST(ClauseGc, LockedReasonsSurviveRelocation)
     EXPECT_EQ(LBool::True, s.modelValue(2));
 }
 
-TEST(ClauseGc, ImportedClausesSurviveShrinkAndGc)
-{
-    // shrinkLearnts(0) drops every non-glue learnt clause but must
-    // keep imports; the GC afterwards must carry the imported mark and
-    // the clause itself across relocation.
-    Solver s;
-    EXPECT_TRUE(s.addClause({~mkLit(0), mkLit(1)}));
-    EXPECT_TRUE(s.addClause({mkLit(2), mkLit(3), mkLit(4)}));
-    s.postImport({~mkLit(0), ~mkLit(1)}); // implied elsewhere, say
-    EXPECT_EQ(SolveResult::Sat, s.solve());
-    EXPECT_EQ(1, s.stats().importedClauses);
-    s.shrinkLearnts(0);
-    s.garbageCollect();
-    EXPECT_GE(s.stats().gcRuns, 1);
-    // Only the imported clause rules out x0: it must still be there.
-    EXPECT_EQ(SolveResult::Unsat, s.solve({mkLit(0)}));
-    ASSERT_EQ(1u, s.failedAssumptions().size());
-    EXPECT_EQ(mkLit(0), s.failedAssumptions()[0]);
-    EXPECT_EQ(SolveResult::Sat, s.solve());
-}
-
 TEST(ClauseGc, AutomaticGcTriggersUnderReduction)
 {
     // A tiny learnt limit forces frequent reduceDb() on a hard
@@ -233,19 +212,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, InprocessingProperty,
 
 TEST(Inprocessing, VivificationShortensPaddedClauses)
 {
-    // x0 is forced at the root AFTER learnt clauses polluted with ~x0
-    // exist; vivification must strip the dead literal.  Construct the
-    // pollution directly through the import path (imports are learnt
-    // clauses).
+    // x0 is forced at the root AFTER a clause polluted with ~x0
+    // exists; inprocessing must strip the dead literal.
     Solver s;
     EXPECT_TRUE(s.addClause({mkLit(0), mkLit(1), mkLit(2)}));
-    // The import mentions x3/x4: create them first or the offer is
-    // dropped as unknown-variable.
     EXPECT_TRUE(s.addClause({mkLit(1), mkLit(3), mkLit(4)}));
-    s.postImport({~mkLit(0), mkLit(3), mkLit(4)});
+    EXPECT_TRUE(s.addClause({~mkLit(0), mkLit(3), mkLit(4)}));
     EXPECT_EQ(SolveResult::Sat, s.solve());
-    ASSERT_EQ(1, s.stats().importedClauses);
-    // Now force x0 at the root: the imported clause's ~x0 is dead.
+    // Now force x0 at the root: the padded clause's ~x0 is dead.
     // Either the binary-graph root cleaning strips it (counted as a
     // strengthening; the remainder re-files as a real binary) or,
     // with that pass off, vivification strips it.
@@ -600,13 +574,14 @@ TEST_P(InprocessingProperty, BinaryAnalysisAgreesWithBruteForce)
     }
 }
 
-TEST_P(InprocessingProperty, BinaryAnalysisComposesWithImportsAndGc)
+TEST_P(InprocessingProperty, BinaryAnalysisComposesWithLateClausesAndGc)
 {
-    // Equivalence substitution against clause import and relocating
-    // GC: imported clauses may name variables this solver has merged
-    // away (addImported() routes them through representativeOf), and
-    // the relocation sweep must keep binary reasons - which carry
-    // literals, not arena refs - intact across rounds.
+    // Equivalence substitution against clauses added between rounds
+    // and relocating GC: a late clause may name variables this solver
+    // has merged away (addClause() routes them through
+    // representativeOf), and the relocation sweep must keep binary
+    // reasons - which carry literals, not arena refs - intact across
+    // rounds.
     Rng rng(GetParam() + 97000);
     Cnf cnf;
     cnf.ensureVars(10);
@@ -637,16 +612,16 @@ TEST_P(InprocessingProperty, BinaryAnalysisComposesWithImportsAndGc)
         // variables on binary-heavy formulas); skip out once Unsat.
         if (solver.solve() != SolveResult::Sat)
             break;
-        // Offer an import the exchange contract allows: a widened
-        // copy of a real clause is subsumed by it, hence a
-        // consequence - deletable by reduction at any time, and its
-        // literals may name variables this solver has merged away.
-        LitVec offer =
+        // Add a widened copy of a real clause: it is subsumed by that
+        // clause, hence a consequence that leaves the verdict
+        // unchanged, and its literals may name variables this solver
+        // has merged away.
+        LitVec late =
             pool[rng.nextBelow(static_cast<std::uint32_t>(
                 pool.size()))];
-        offer.push_back(mkLit(
+        late.push_back(mkLit(
             static_cast<Var>(rng.nextBelow(10)), rng.nextBool()));
-        solver.postImport(offer);
+        solver.addClause(late);
         LitVec assumptions;
         for (Var v = 0; v < 10; ++v) {
             const auto choice = rng.nextBelow(4);
@@ -774,7 +749,7 @@ TEST(EngineInprocessing, JobsDeterminismWithGcAndInprocessing)
     // counterexamples.
     const auto program =
         lang::elaborateSource(circuits::adderQbrSource(10));
-    EngineOptions base = EngineOptions::portfolioABC();
+    EngineOptions base = EngineOptions::portfolioAB();
     base.inprocessInterval = 1;
     for (VerifierOptions &lane : base.lanes)
         lane.solver.learntLimitBase = 16;
@@ -870,7 +845,7 @@ TEST(EngineInprocessing, SolverTotalsReachJsonReport)
     // the JSON document (the report side of the new SolverStats).
     const auto program =
         lang::elaborateSource(circuits::mcxQbrSource(40));
-    EngineOptions options = EngineOptions::portfolioABC();
+    EngineOptions options = EngineOptions::portfolioAB();
     options.inprocessInterval = 1;
     options.jobs = 2;
     const ProgramResult result = verifyAll(program, options);
@@ -881,7 +856,6 @@ TEST(EngineInprocessing, SolverTotalsReachJsonReport)
     EXPECT_NE(std::string::npos, json.find("\"inprocess_runs\": "));
     EXPECT_NE(std::string::npos, json.find("\"gc_runs\": "));
     EXPECT_NE(std::string::npos, json.find("\"arena_peak_words\": "));
-    EXPECT_NE(std::string::npos, json.find("\"imported_dropped\": "));
 }
 
 } // namespace

@@ -2,8 +2,8 @@
  * @file
  * Tests for the persistent scheduler and the engine's use of it: pool
  * mechanics, determinism of verdicts AND counterexamples across jobs
- * counts, batch pipelining, cross-lane clause sharing, and the
- * no-thread-per-condition guarantee.  The stress tests double as the
+ * counts, batch pipelining, and the no-thread-per-condition
+ * guarantee.  The stress tests double as the
  * ASan/TSan exercise in CI.
  */
 
@@ -263,34 +263,30 @@ randomCircuit(Rng &rng, std::uint32_t n, int gates)
 class JobsDeterminism : public ::testing::TestWithParam<int>
 {};
 
-/** --jobs 1 and --jobs N must agree exactly on @p c, for both
- *  portfolio shapes, with adaptive lane ordering off AND on. */
+/** --jobs 1 and --jobs N must agree exactly on @p c, racing lanes A
+ *  and B, with adaptive lane ordering off AND on. */
 void
 expectJobsDeterminism(const Circuit &c)
 {
-    for (const bool three_lanes : {false, true}) {
-        for (const bool adaptive : {false, true}) {
-            EngineOptions serial = three_lanes
-                ? EngineOptions::portfolioABC()
-                : EngineOptions::portfolioAB();
-            serial.adaptiveLanes = adaptive;
-            EngineOptions parallel = serial;
-            serial.jobs = 1;
-            parallel.jobs = 4;
-            VerificationEngine one(c, serial);
-            VerificationEngine many(c, parallel);
-            const ProgramResult r1 = one.verifyAllQubits();
-            const ProgramResult rn = many.verifyAllQubits();
-            ASSERT_EQ(r1.qubits.size(), rn.qubits.size());
-            for (std::size_t i = 0; i < r1.qubits.size(); ++i) {
-                EXPECT_EQ(r1.qubits[i].verdict, rn.qubits[i].verdict)
-                    << "qubit " << i << " adaptive " << adaptive;
-                EXPECT_EQ(r1.qubits[i].failed, rn.qubits[i].failed)
-                    << "qubit " << i << " adaptive " << adaptive;
-                EXPECT_EQ(r1.qubits[i].counterexample,
-                          rn.qubits[i].counterexample)
-                    << "qubit " << i << " adaptive " << adaptive;
-            }
+    for (const bool adaptive : {false, true}) {
+        EngineOptions serial = EngineOptions::portfolioAB();
+        serial.adaptiveLanes = adaptive;
+        EngineOptions parallel = serial;
+        serial.jobs = 1;
+        parallel.jobs = 4;
+        VerificationEngine one(c, serial);
+        VerificationEngine many(c, parallel);
+        const ProgramResult r1 = one.verifyAllQubits();
+        const ProgramResult rn = many.verifyAllQubits();
+        ASSERT_EQ(r1.qubits.size(), rn.qubits.size());
+        for (std::size_t i = 0; i < r1.qubits.size(); ++i) {
+            EXPECT_EQ(r1.qubits[i].verdict, rn.qubits[i].verdict)
+                << "qubit " << i << " adaptive " << adaptive;
+            EXPECT_EQ(r1.qubits[i].failed, rn.qubits[i].failed)
+                << "qubit " << i << " adaptive " << adaptive;
+            EXPECT_EQ(r1.qubits[i].counterexample,
+                      rn.qubits[i].counterexample)
+                << "qubit " << i << " adaptive " << adaptive;
         }
     }
 }
@@ -298,8 +294,8 @@ expectJobsDeterminism(const Circuit &c)
 TEST_P(JobsDeterminism, OneAndManyJobsIdenticalVerdictsAndCex)
 {
     // The acceptance contract of the scheduler: --jobs 1 and --jobs N
-    // produce identical verdicts AND identical counterexamples, for
-    // both portfolio shapes and with adaptive ordering on and off.
+    // produce identical verdicts AND identical counterexamples, with
+    // adaptive ordering on and off.
     // (Counterexamples come from the deterministic replay solve, so
     // racing cannot leak in; adaptive ordering only permutes race
     // submission, and the race winner is picked by lane index.)
@@ -332,15 +328,15 @@ TEST_P(JobsDeterminism, BinaryHeavyCircuitsStayDeterministic)
 INSTANTIATE_TEST_SUITE_P(Seeds, JobsDeterminism,
                          ::testing::Range(0, 10));
 
-TEST(SchedulerEngine, StressManyQubitsPortfolioSharedClauses)
+TEST(SchedulerEngine, StressManyQubitsPortfolio)
 {
-    // The deterministic verifyAll stress: many qubits, three racing
-    // lanes (two of them exchanging clauses), a shared 4-worker pool,
-    // speculative (6.2) races and cross-qubit pipelining all at once.
-    // CI runs this under ASan and TSan.
+    // The deterministic verifyAll stress: many qubits, two racing
+    // lanes, a shared 4-worker pool, speculative (6.2) races and
+    // cross-qubit pipelining all at once.  CI runs this under ASan
+    // and TSan.
     const auto program =
         lang::elaborateSource(circuits::adderQbrSource(12));
-    EngineOptions options = EngineOptions::portfolioABC();
+    EngineOptions options = EngineOptions::portfolioAB();
     options.jobs = 4;
     const ProgramResult result = verifyAll(program, options);
     ASSERT_EQ(11u, result.qubits.size());
@@ -359,7 +355,7 @@ TEST(SchedulerEngine, StressRandomCircuitsAgreeWithBruteForce)
     Rng rng(4242);
     for (int round = 0; round < 4; ++round) {
         const Circuit c = randomCircuit(rng, 7, 16);
-        EngineOptions options = EngineOptions::portfolioABC();
+        EngineOptions options = EngineOptions::portfolioAB();
         options.jobs = 3;
         VerificationEngine engine(c, options);
         const ProgramResult result = engine.verifyAllQubits();
@@ -406,57 +402,6 @@ TEST(SchedulerEngine, AdaptiveLanesMatchDefaultOrderExactly)
                   again.qubits[i].verdict);
 }
 
-TEST(SchedulerEngine, ShareGroupsWireOnlyCompatibleLanes)
-{
-    const Circuit c = circuits::hanerCarryCircuit(5);
-    // A and B encode differently (PG/4 vs Full/2, and B preprocesses):
-    // nothing to share.
-    VerificationEngine ab(c, EngineOptions::portfolioAB());
-    EXPECT_EQ(0u, ab.stats().shareLanes);
-    // A and C share one encoder configuration: both join the group.
-    VerificationEngine abc(c, EngineOptions::portfolioABC());
-    EXPECT_EQ(2u, abc.stats().shareLanes);
-    // No portfolio, no exchange - only lane 0 ever races.
-    VerificationEngine single(c, EngineOptions{});
-    EXPECT_EQ(0u, single.stats().shareLanes);
-}
-
-TEST(SchedulerEngine, GlueClausesFlowAcrossLanes)
-{
-    // Force the flow to be observable and deterministic: one worker,
-    // tiny conflict budgets.  Lane A exhausts its budget on the hard
-    // adder conditions (exporting its glue clauses as it goes); lane C
-    // races the same conditions afterwards and drains A's exports on
-    // solve entry.
-    const auto program =
-        lang::elaborateSource(circuits::adderQbrSource(12));
-    const ir::QubitId first =
-        program.qubitsWithRole(lang::QubitRole::BorrowVerify).front();
-    const lang::QubitInfo &info = program.qubits[first];
-    const Circuit scope =
-        program.circuit.slice(info.scopeBegin, info.scopeEnd);
-
-    EngineOptions options;
-    options.portfolio = true;
-    options.lanes = {VerifierOptions::laneA(),
-                     VerifierOptions::laneC()};
-    options.jobs = 1;
-    for (VerifierOptions &lane : options.lanes) {
-        lane.conflictBudget = 20;
-        lane.wantCounterexample = false;
-    }
-    VerificationEngine engine(scope, options);
-    engine.verifyAllQubits();
-    const std::int64_t imported =
-        engine.laneSolverStats(0).importedClauses +
-        engine.laneSolverStats(1).importedClauses;
-    const std::int64_t exported =
-        engine.laneSolverStats(0).exportedClauses +
-        engine.laneSolverStats(1).exportedClauses;
-    EXPECT_GT(exported, 0);
-    EXPECT_GT(imported, 0);
-}
-
 /** Current thread count of this process, 0 if unknowable. */
 std::size_t
 threadCount()
@@ -476,12 +421,12 @@ TEST(SchedulerEngine, NoThreadPerCondition)
     const std::size_t before = threadCount();
     if (before == 0)
         GTEST_SKIP() << "/proc/self/status not available";
-    // 11 qubits x 2 conditions x 3 lanes = 66 condition solves; the
+    // 11 qubits x 2 conditions x 2 lanes = 44 condition solves; the
     // PR 1 engine would have spawned a thread for every one of them.
     // The pool bound must hold at every observation point.
     const auto program =
         lang::elaborateSource(circuits::adderQbrSource(12));
-    EngineOptions options = EngineOptions::portfolioABC();
+    EngineOptions options = EngineOptions::portfolioAB();
     options.jobs = 2;
     std::size_t peak = 0;
     verifyAll(program, options, [&peak](const QubitResult &) {
@@ -489,7 +434,7 @@ TEST(SchedulerEngine, NoThreadPerCondition)
     });
     EXPECT_GT(peak, 0u);
     // jobs workers, plus one for a sanitizer's background thread
-    // (TSan spawns one lazily).  66 per-condition threads would blow
+    // (TSan spawns one lazily).  44 per-condition threads would blow
     // straight through this.
     EXPECT_LE(peak, before + 2 + 1);
 }

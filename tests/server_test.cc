@@ -994,7 +994,6 @@ TEST(StatsResponse, ServingFieldsAreBackwardCompatibleAdditions)
     snapshot.resultCache.hits = 4;
     snapshot.resultCache.evictions = 1;
     snapshot.programCache.entries = 2;
-    snapshot.warmVerifies = 5;
     snapshot.activeConnections = 1;
     snapshot.connectionLimit = 8;
     snapshot.authRejected = 6;
@@ -1013,7 +1012,6 @@ TEST(StatsResponse, ServingFieldsAreBackwardCompatibleAdditions)
     EXPECT_EQ(4, caches->find("result")->find("hits")->asInt());
     EXPECT_EQ(1, caches->find("result")->find("evictions")->asInt());
     EXPECT_EQ(2, caches->find("program")->find("entries")->asInt());
-    EXPECT_EQ(5, caches->find("warm_verifies")->asInt());
     EXPECT_EQ(1, doc.find("connections")->find("active")->asInt());
     EXPECT_EQ(8, doc.find("connections")->find("limit")->asInt());
     EXPECT_EQ(6,
@@ -1026,14 +1024,13 @@ TEST(ServingCache, ProgramCacheHashConsesAndEvictsLru)
 {
     serving::ProgramCache cache(2);
     const std::string program_a = "borrow@ q;\n";
-    const auto a = cache.acquire(program_a, 1);
-    const auto a_again = cache.acquire(program_a, 2);
+    const auto a = cache.acquire(program_a);
+    const auto a_again = cache.acquire(program_a);
     EXPECT_EQ(a.get(), a_again.get()) << "hash-consed";
-    EXPECT_EQ(1u, a->band) << "band pinned at creation";
-    const auto b = cache.acquire("borrow@ r;\n", 3);
+    const auto b = cache.acquire("borrow@ r;\n");
     EXPECT_TRUE(b->elaborationError.empty());
-    cache.acquire("borrow@ s;\n", 4); // capacity 2: evicts a (LRU)
-    const auto a_fresh = cache.acquire(program_a, 5);
+    cache.acquire("borrow@ s;\n"); // capacity 2: evicts a (LRU)
+    const auto a_fresh = cache.acquire(program_a);
     EXPECT_NE(a.get(), a_fresh.get()) << "was evicted";
     const auto counters = cache.counters();
     EXPECT_EQ(1u, counters.hits);
@@ -1045,11 +1042,11 @@ TEST(ServingCache, ProgramCacheHashConsesAndEvictsLru)
 TEST(ServingCache, ProgramCacheCachesElaborationErrors)
 {
     serving::ProgramCache cache(4);
-    const auto bad = cache.acquire("this is not a program", 1);
+    const auto bad = cache.acquire("this is not a program");
     EXPECT_FALSE(bad->elaborationError.empty());
     EXPECT_EQ(nullptr, bad->program.get());
     // Negative entries are cached too: resubmission fails fast.
-    const auto again = cache.acquire("this is not a program", 2);
+    const auto again = cache.acquire("this is not a program");
     EXPECT_EQ(bad.get(), again.get());
 }
 
@@ -1098,7 +1095,31 @@ TEST(ServingTier, OptionsFingerprintSeparatesResultAffectingKnobs)
                        scheduling, false));
 }
 
-// =================================================== warm cache, e2e
+TEST(ServingTier, CountsOneResultCacheOutcomePerRequest)
+{
+    // Sequential submissions of k distinct sources: the first of each
+    // is one miss (the first try and the single-flight re-check under
+    // the entry lock count once together), every repeat one hit.
+    serving::ServingTier tier({64, 256});
+    const auto scheduler = std::make_shared<core::Scheduler>(1u);
+    const core::EngineOptions options;
+    const std::string key =
+        serving::ServingTier::optionsFingerprint(options, false);
+    const std::string sources[] = {circuits::adderQbrSource(3),
+                                   circuits::mcxQbrSource(4),
+                                   kUnsafeSource};
+    const int order[] = {0, 1, 0, 2, 1, 0, 2};
+    for (const int i : order) {
+        const auto outcome = tier.verify(sources[i], options, false, key,
+                                         nullptr, scheduler, nullptr);
+        EXPECT_FALSE(outcome.failed) << outcome.error;
+    }
+    const serving::CacheCounters counters = tier.resultCounters();
+    EXPECT_EQ(3u, counters.misses);
+    EXPECT_EQ(4u, counters.hits);
+}
+
+// =================================================== serving cache, e2e
 
 /** The stats frame for @p id, skipping unrelated frames. */
 JsonValue
@@ -1176,39 +1197,68 @@ TEST(Server, ResultCacheEvictsUnderItsBound)
     server.shutdown();
 }
 
-TEST(Server, WarmSessionsServeRepeatsWhenResultCacheIsOff)
+/** The text of the flat (no nested objects) JSON object @p key in
+ *  the raw frame @p line, or "" when absent. */
+std::string
+flatObjectText(const std::string &line, const std::string &key)
 {
+    const std::size_t begin = line.find("\"" + key + "\": {");
+    if (begin == std::string::npos)
+        return "";
+    const std::size_t end = line.find('}', begin);
+    return end == std::string::npos ? ""
+                                    : line.substr(begin, end - begin + 1);
+}
+
+TEST(Server, ProgramCacheHitReportsItsOwnWorkWhenResultCacheIsOff)
+{
+    // With the result cache off a repeat re-verifies.  The program
+    // cache skips its elaboration, but the verification starts from
+    // fresh sessions: one worker and one lane make the solver
+    // counters deterministic, so both reports must carry the same
+    // solver and analysis objects - not totals that include the
+    // first run's work.
     ServerOptions options;
-    options.socketPath = testSocketPath("warmsessions");
+    options.socketPath = testSocketPath("programcache");
     options.concurrency = 1;
-    options.jobs = 2;
-    options.resultCacheCapacity = 0; // force re-verification...
+    options.jobs = 1;
+    options.resultCacheCapacity = 0; // force re-verification
     Server server(std::move(options));
     server.start();
 
     TestClient client(server.socketPath());
     const std::string source = circuits::adderQbrSource(5);
-    client.send(verifyRequestLine(1, source));
-    const auto cold = client.collect(1);
-    client.send(verifyRequestLine(2, source));
-    const auto warm = client.collect(2); // ...through warm sessions
-    EXPECT_EQ("done", warm.back().find("status")->asString());
-    EXPECT_EQ(comparableQubits(cold), comparableQubits(warm));
+    client.send(verifyRequestLine(1, source, R"("lane": "A")"));
+    const std::string first = client.terminalRawLine(1);
+    client.send(verifyRequestLine(2, source, R"("lane": "A")"));
+    const std::string second = client.terminalRawLine(2);
+    for (const std::string *line : {&first, &second}) {
+        const JsonValue frame = JsonValue::parse(*line);
+        EXPECT_EQ("done", frame.find("status")->asString());
+        EXPECT_TRUE(frame.find("report")->find("all_safe")->asBool());
+    }
+    const std::string solver = flatObjectText(first, "solver");
+    ASSERT_NE("", solver);
+    EXPECT_NE(std::string::npos, solver.find("\"conflicts\": "));
+    EXPECT_EQ(solver, flatObjectText(second, "solver"));
+    const std::string analysis = flatObjectText(first, "analysis");
+    ASSERT_NE("", analysis);
+    EXPECT_EQ(analysis, flatObjectText(second, "analysis"));
 
     const JsonValue stats = fetchStats(client, 50);
-    EXPECT_GE(stats.find("caches")->find("warm_verifies")->asInt(),
-              1);
     EXPECT_GE(stats.find("caches")->find("program")->find("hits")
                   ->asInt(),
               1);
+    EXPECT_EQ(0,
+              stats.find("caches")->find("result")->find("hits")->asInt());
     server.shutdown();
     EXPECT_EQ(2u, server.counters().served);
 }
 
-TEST(Server, CancelledProgramResubmitsCleanlyThroughWarmSessions)
+TEST(Server, CancelledProgramResubmitsCleanly)
 {
     ServerOptions options;
-    options.socketPath = testSocketPath("cancelwarm");
+    options.socketPath = testSocketPath("cancelresubmit");
     options.concurrency = 1;
     options.jobs = 1;
     Server server(std::move(options));
@@ -1217,8 +1267,7 @@ TEST(Server, CancelledProgramResubmitsCleanlyThroughWarmSessions)
     TestClient client(server.socketPath());
     const std::string source = circuits::adderQbrSource(32);
     client.send(verifyRequestLine(1, source));
-    // Wait until the request is running, then cancel mid-program: the
-    // warm sessions absorb a cancellation.
+    // Wait until the request is running, then cancel mid-program.
     while (true) {
         auto frame = client.next();
         ASSERT_TRUE(frame.has_value());
@@ -1238,8 +1287,7 @@ TEST(Server, CancelledProgramResubmitsCleanlyThroughWarmSessions)
         }
     }
     // A cancelled run is never memoized; the resubmission re-verifies
-    // through the SAME warm sessions (rearmed with a fresh cancel
-    // source) and completes.
+    // the cached program with a fresh cancel source and completes.
     client.send(verifyRequestLine(3, source));
     const auto frames = client.collect(3);
     EXPECT_EQ("done", frames.back().find("status")->asString());

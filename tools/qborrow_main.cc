@@ -79,7 +79,7 @@ usage(const char *argv0)
         "                    before local verification\n"
         "  --analysis SPEC   static condition dischargers: 'all'\n"
         "                    (default), 'off', or a comma list of\n"
-        "                    support,mirror,affine,permutation\n"
+        "                    affine,permutation\n"
         "  --analysis-window N   qubit-window bound of the\n"
         "                    permutation discharger (default 10)\n"
         "  --json            emit a machine-readable JSON report\n"
@@ -119,8 +119,8 @@ usage(const char *argv0)
         "                    connection (default 0 = unlimited)\n"
         "  --idle-timeout S  close connections idle for S seconds\n"
         "                    (default 0 = never)\n"
-        "  --program-cache N hash-consed programs kept warm\n"
-        "                    (default 64, 0 disables)\n"
+        "  --program-cache N elaborated programs kept, hash-consed\n"
+        "                    by source (default 64, 0 disables)\n"
         "  --result-cache N  memoized verdicts kept (default 256,\n"
         "                    0 disables)\n"
         "\n"
@@ -212,18 +212,13 @@ analysisOptionsFor(const CliOptions &cli)
                 comma = cli.analysisSpec.size();
             const std::string pass =
                 cli.analysisSpec.substr(start, comma - start);
-            if (pass == "support")
-                analysis.support = true;
-            else if (pass == "mirror")
-                analysis.mirror = true;
-            else if (pass == "affine")
+            if (pass == "affine")
                 analysis.affine = true;
             else if (pass == "permutation")
                 analysis.permutation = true;
             else
                 qb::fatal("unknown analysis pass '" + pass +
-                          "' (expected support, mirror, affine or "
-                          "permutation)");
+                          "' (expected affine or permutation)");
             start = comma + 1;
         }
     }

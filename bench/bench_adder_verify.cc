@@ -55,6 +55,10 @@
  * 99 qubits to learn lane B over).  The n = 100 gain is the solver
  * hot path itself: binary propagation decided without arena reads
  * plus learn-time antecedent strengthening.
+ *
+ * Adaptive race order is now the only order (it won on every
+ * adder_race seed of the qbbench workload), so the Portfolio variant
+ * is the adaptive one and the separate Adaptive variant is gone.
  */
 
 #include <benchmark/benchmark.h>
@@ -213,19 +217,6 @@ AdderVerifyEnginePortfolio(benchmark::State &state)
 }
 
 void
-AdderVerifyEnginePortfolioAdaptive(benchmark::State &state)
-{
-    // --adaptive-lanes: lane B wins this family, and after the first
-    // few qubits the win-rate table seeds every later race with lane
-    // B's slice first - the losing lane A no longer delays the
-    // winner on 1-2 core hosts.
-    qb::core::EngineOptions options =
-        qb::core::EngineOptions::portfolioAB();
-    options.adaptiveLanes = true;
-    runAdderEngine(state, options);
-}
-
-void
 AdderVerifyEnginePortfolioNoAnalysis(benchmark::State &state)
 {
     // SAT-only baseline of the portfolio variant.  The adder's
@@ -271,10 +262,6 @@ BENCHMARK(AdderVerifyEngineLaneB)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);
 BENCHMARK(AdderVerifyEnginePortfolio)
-    ->DenseRange(50, 200, 25)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
-BENCHMARK(AdderVerifyEnginePortfolioAdaptive)
     ->DenseRange(50, 200, 25)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);

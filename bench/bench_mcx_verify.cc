@@ -38,15 +38,17 @@
  * and the Adaptive variant at 0.037 s / 0.122 s for n = 499 / 999 -
  * within noise of PR 4, as expected for a frontend-dominated family
  * (solve_s stays sub-millisecond); the win shows up on the adder
- * bench, whose solve phase dominates.
+ * bench, whose solve phase dominates.  Adaptive race order later
+ * became the only order, so the Portfolio variant is the adaptive
+ * one and the separate Adaptive variant is gone.
  *
  * Static condition dischargers (PR 7): every variant now reports an
  * analysis_discharged counter, a NoAnalysis twin pins the SAT-only
  * baseline, and the McxMirrorVerifyEngine family runs the
  * mirrored-construction program (circuits::mirrorMcxQbrSource),
- * whose single dirty qubit the permutation discharger settles over a
- * 3-wire cone without building a formula or touching a solver at any
- * m.  The plain mcx family keeps analysis_discharged = 0: its ancilla
+ * whose single dirty qubit has a 3-wire cone at any m.  (The engine
+ * no longer consults the permutation check, so that condition now
+ * goes to SAT, trivially; lint still proves it.)  The plain mcx family keeps analysis_discharged = 0: its ancilla
  * conditions constant-fold in the formula arena before the analyzer
  * is ever consulted, which is the intended division of labor.
  *
@@ -223,18 +225,6 @@ McxVerifyEnginePortfolio(benchmark::State &state)
 }
 
 void
-McxVerifyEnginePortfolioAdaptive(benchmark::State &state)
-{
-    // --adaptive-lanes: per-family win rates seed each race with the
-    // likely winner first, cutting sliced-racing overhead when
-    // workers are scarcer than lanes.
-    qb::core::EngineOptions options =
-        qb::core::EngineOptions::portfolioAB();
-    options.adaptiveLanes = true;
-    runMcxVerify(state, options, false);
-}
-
-void
 McxVerifyEnginePortfolioNoAnalysis(benchmark::State &state)
 {
     // SAT-only baseline of the portfolio variant: the on/off pair
@@ -310,22 +300,11 @@ McxVerifyEngineBinaryHeavyNoBinaryAnalysis(benchmark::State &state)
 void
 McxMirrorVerifyEngine(benchmark::State &state)
 {
-    // Mirrored construction: the permutation discharger settles the
-    // dirty qubit statically - analysis_discharged must be >= 1 here
-    // (CI bench-smoke asserts it), and solve_s stays exactly zero.
+    // Mirrored construction: the dirty qubit's condition does not
+    // fold in the arena and its cone is 3 wires at any m, so it goes
+    // to SAT and solves in a handful of conflicts.
     runMcxVerify(state, qb::core::EngineOptions::portfolioAB(), false,
                  McxProgram::Mirror);
-}
-
-void
-McxMirrorVerifyEngineNoAnalysis(benchmark::State &state)
-{
-    // The same program with the analyzer off: what the SAT path pays
-    // for a condition the static pass gets for free.
-    qb::core::EngineOptions options =
-        qb::core::EngineOptions::portfolioAB();
-    options.analysis = qb::analysis::AnalysisOptions::none();
-    runMcxVerify(state, options, false, McxProgram::Mirror);
 }
 
 void
@@ -377,10 +356,6 @@ BENCHMARK(McxVerifyEnginePortfolio)
     ->DenseRange(499, 3499, 500)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);
-BENCHMARK(McxVerifyEnginePortfolioAdaptive)
-    ->DenseRange(499, 3499, 500)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
 BENCHMARK(McxVerifyEnginePortfolioNoAnalysis)
     ->DenseRange(499, 3499, 500)
     ->Unit(benchmark::kSecond)
@@ -402,10 +377,6 @@ BENCHMARK(McxVerifyEngineBinaryHeavyNoBinaryAnalysis)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);
 BENCHMARK(McxMirrorVerifyEngine)
-    ->DenseRange(499, 3499, 500)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
-BENCHMARK(McxMirrorVerifyEngineNoAnalysis)
     ->DenseRange(499, 3499, 500)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);

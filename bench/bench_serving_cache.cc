@@ -6,10 +6,10 @@
  * Two variants serve the same program N times through one
  * ServingTier over one process-wide scheduler:
  *
- *   - ServeCold: both caches disabled - every request pays parse,
+ *   - ServeCold: result cache disabled - every request pays parse,
  *     elaboration, session construction and the full SAT race (the
  *     daemon minus socket I/O);
- *   - ServeResultHit: both caches on - repeats replay the memoized
+ *   - ServeResultHit: result cache on - repeats replay the memoized
  *     verdict and never touch the pool.
  *
  * The interesting counters are serve_s (mean per-request wall time
@@ -29,8 +29,7 @@
 namespace {
 
 void
-runServe(benchmark::State &state, std::size_t program_capacity,
-         std::size_t result_capacity)
+runServe(benchmark::State &state, std::size_t result_capacity)
 {
     const auto n = static_cast<std::uint32_t>(state.range(0));
     const std::uint32_t m = (n + 1) / 2;
@@ -45,12 +44,11 @@ runServe(benchmark::State &state, std::size_t program_capacity,
     constexpr int kRepeats = 8;
     for (auto _ : state) {
         // Fresh tier and pool per iteration: the first request is the
-        // cold miss, the other kRepeats-1 hit whatever this variant
-        // caches.
+        // cold miss, the other kRepeats-1 hit the result cache when
+        // this variant has one.
         const auto scheduler =
             std::make_shared<qb::core::Scheduler>(0);
-        qb::serving::ServingTier tier(
-            {program_capacity, result_capacity});
+        qb::serving::ServingTier tier({result_capacity});
         for (int r = 0; r < kRepeats; ++r) {
             const auto outcome =
                 tier.verify(source, options, false, key, nullptr,
@@ -73,13 +71,13 @@ runServe(benchmark::State &state, std::size_t program_capacity,
 void
 ServeCold(benchmark::State &state)
 {
-    runServe(state, 0, 0);
+    runServe(state, 0);
 }
 
 void
 ServeResultHit(benchmark::State &state)
 {
-    runServe(state, 64, 256);
+    runServe(state, 256);
 }
 
 } // namespace

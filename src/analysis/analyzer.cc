@@ -6,50 +6,9 @@
 
 namespace qb::analysis {
 
-const char *
-passName(Pass pass)
-{
-    switch (pass) {
-      case Pass::None:        return "none";
-      case Pass::Affine:      return "affine";
-      case Pass::Permutation: return "permutation";
-    }
-    return "?";
-}
-
 Analyzer::Analyzer(const ir::Circuit &circuit, AnalysisOptions options)
-    : circuit_(circuit), options_(options),
-      factsCache_(circuit.numQubits())
+    : circuit_(circuit), options_(options)
 {
-}
-
-const QubitFacts &
-Analyzer::qubitFacts(ir::QubitId q)
-{
-    qbAssert(q < circuit_.numQubits(),
-             "Analyzer::qubitFacts: qubit out of range");
-    if (factsCache_[q])
-        return *factsCache_[q];
-
-    QubitFacts facts;
-    if (circuit_.isClassical() && options_.anyPass()) {
-        if (options_.affine) {
-            const AffineFacts affine = affineFacts(q);
-            if (affine.zeroUnsat)
-                facts.zeroDischargedBy = Pass::Affine;
-            if (affine.plusUnsat)
-                facts.plusDischargedBy = Pass::Affine;
-        }
-        if (options_.permutation &&
-            facts.zeroDischargedBy == Pass::None &&
-            permutationCheck(circuit_, q,
-                             options_.permutationWindow) ==
-                PermutationVerdict::Restored) {
-            facts.zeroDischargedBy = Pass::Permutation;
-        }
-    }
-    factsCache_[q] = facts;
-    return *factsCache_[q];
 }
 
 const AffineState *

@@ -1,7 +1,7 @@
 /**
  * @file
- * Facade over the static dischargers (dataflow.h's affine domain,
- * permutation.h) as consumed by core::VerificationEngine.
+ * Facade over the GF(2)-affine discharger (dataflow.h's affine
+ * domain) as consumed by core::VerificationEngine.
  *
  * The engine asks, per qubit, whether the zero-restoration condition
  * (6.1) and/or the plus-restoration condition (6.2) are provably
@@ -10,75 +10,46 @@
  * satisfiable, so enabling it can skip encode+SAT work but can never
  * change a verdict or a counterexample relative to a SAT-only run.
  *
- * Pass order is affine, then permutation, and the first pass to
- * discharge a condition is credited in the per-pass counters.  A
- * syntactic cone-of-influence pass or a compute/uncompute mirror pass
- * would add nothing here: the engine consults the analyzer only for
- * conditions the formula arena did not fold to a constant, and the
- * arena already folds both cases (a qubit outside every other wire's
- * cone leaves identical cofactors, and exact mirrors cancel by
- * hash-consed XOR).  The affine pass is additionally exposed
- * through affineFacts(): unlike the others it proves linear-circuit
- * restoration with NO window bound, so the engine consults it BEFORE
- * building a qubit's condition formulas - for purely linear cones the
- * formula arena's own GF(2) canonicalization would fold both
- * conditions to constants anyway, and the only way the proof saves
- * work is to skip that build (in particular the per-wire (6.2)
- * cofactor sweep) entirely.
+ * The affine pass proves linear-circuit restoration with NO window
+ * bound, and the engine consults it BEFORE building a qubit's
+ * condition formulas: for purely linear cones the formula arena's own
+ * GF(2) canonicalization would fold both conditions to constants
+ * anyway, so the only way the proof saves work is to skip that build
+ * (in particular the per-wire (6.2) cofactor sweep) entirely.  A
+ * post-build consult would add nothing: the affine half of it can
+ * never fire on a condition the arena left unfolded, and a syntactic
+ * cone-of-influence or compute/uncompute mirror pass is subsumed by
+ * the same folding (a qubit outside every other wire's cone leaves
+ * identical cofactors, and exact mirrors cancel by hash-consed XOR).
+ * The bounded-window permutation check (permutation.h) is a lint
+ * check only.
  */
 
 #ifndef QB_ANALYSIS_ANALYZER_H
 #define QB_ANALYSIS_ANALYZER_H
 
-#include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "analysis/dataflow.h"
-#include "analysis/permutation.h"
 
 namespace qb::analysis {
 
-/** Which dischargers run, and the permutation pass's window bound. */
+/** Whether the engine consults the static discharger at all. */
 struct AnalysisOptions
 {
     bool affine = true;
-    bool permutation = true;
-    unsigned permutationWindow = kDefaultPermutationWindow;
-
-    bool anyPass() const
-    {
-        return affine || permutation;
-    }
 
     /** Everything off: SAT-only verification. */
     static AnalysisOptions none()
     {
         AnalysisOptions opts;
-        opts.affine = opts.permutation = false;
+        opts.affine = false;
         return opts;
     }
 };
 
-/** Discharging pass, for attribution in stats and reports. */
-enum class Pass : std::uint8_t {
-    None,
-    Affine,
-    Permutation,
-};
-
-/** Name of @p pass ("affine", "permutation", "none"). */
-const char *passName(Pass pass);
-
-/** Static verdicts for one qubit's two conditions. */
-struct QubitFacts
-{
-    Pass zeroDischargedBy = Pass::None; ///< (6.1) proven UNSAT by
-    Pass plusDischargedBy = Pass::None; ///< (6.2) proven UNSAT by
-};
-
-/** What the GF(2)-affine pass alone proves for one qubit (the
- *  engine's pre-build consult; see the file comment). */
+/** What the GF(2)-affine pass proves for one qubit. */
 struct AffineFacts
 {
     /** Final value of q is provably q itself (or constant 0): (6.1)
@@ -91,28 +62,22 @@ struct AffineFacts
 
 /**
  * Per-circuit analyzer: caches the work shared between qubits (the
- * affine ⊤ set and final state) and answers qubitFacts() queries.
- * Analysis is lazy - nothing is computed until the
- * first query - so sessions that never consult the analyzer pay
- * nothing.
+ * affine ⊤ set and final state) and answers affineFacts() queries.
+ * Analysis is lazy - nothing is computed until the first query - so
+ * sessions that never consult the analyzer pay nothing.
  */
 class Analyzer
 {
   public:
     Analyzer(const ir::Circuit &circuit, AnalysisOptions options);
 
-    /** Static discharges for @p q's conditions (cached per qubit). */
-    const QubitFacts &qubitFacts(ir::QubitId q);
-
     /**
-     * GF(2)-affine discharges alone for @p q, window-free (cached;
-     * the whole-circuit affine sweep is shared between qubits).  All
+     * GF(2)-affine discharges for @p q, window-free (the
+     * whole-circuit affine sweep is shared between qubits).  All
      * false when the affine pass is off or the circuit is not
      * classical.
      */
     AffineFacts affineFacts(ir::QubitId q);
-
-    const AnalysisOptions &options() const { return options_; }
 
   private:
     /** The affine fixpoint at the end of the circuit (computed on
@@ -131,7 +96,6 @@ class Analyzer
     bool affineTried_ = false;
     std::optional<AffineState> affineFinal_;
     std::optional<std::vector<bool>> affineTop_; ///< affineTopWires
-    std::vector<std::optional<QubitFacts>> factsCache_;
 };
 
 } // namespace qb::analysis

@@ -11,7 +11,7 @@
  * function of the cone inputs:
  *
  *   - output column == input column  =>  b_q = q identically, so
- *     condition (6.1) `b_q AND NOT q` is UNSAT: discharged.
+ *     condition (6.1) `b_q AND NOT q` is UNSAT.
  *   - otherwise b_q != q as functions.  Inside the window this is
  *     EXACT, which the lint driver uses for a provably-unsafe
  *     diagnostic (a reversible circuit that moves q's value cannot
@@ -20,7 +20,9 @@
  *     and (6.2) is).
  *
  * Circuits wider than the window, or containing non-classical gates
- * in the cone, answer TooWide: no claim either way.
+ * in the cone, answer TooWide: no claim either way.  The lint driver
+ * is the only consumer; the engine's static discharge is the
+ * window-free affine pass (analyzer.h).
  */
 
 #ifndef QB_ANALYSIS_PERMUTATION_H
@@ -34,7 +36,7 @@ namespace qb::analysis {
 
 /** Outcome of the bounded-window permutation check for one qubit. */
 enum class PermutationVerdict {
-    Restored,    ///< b_q = q exactly: (6.1) discharged
+    Restored,    ///< b_q = q exactly: (6.1) is UNSAT
     NotRestored, ///< b_q != q exactly: provably NOT safe
     TooWide,     ///< cone exceeds the window (or non-classical): no claim
 };

@@ -50,7 +50,7 @@ incrementalConfig(const VerifierOptions &options, bool binary_analysis)
 }
 
 /**
- * Identity of a lane FAMILY for the adaptive win-rate table: the
+ * Identity of a lane FAMILY for the race-order win-rate table: the
  * fields that distinguish the lane presets (encoder configuration
  * plus the solving-strategy knobs).  Two lanes with equal keys play
  * the same role in any portfolio, so their wins pool - across
@@ -125,8 +125,8 @@ struct VerificationEngine::Lane
     /** Queries since the last inprocessing pass (owned by the lane's
      *  serial task chain; see EngineOptions::inprocessInterval). */
     unsigned queriesSinceInprocess = 0;
-    /** Win-rate table key of this lane's preset family (adaptive
-     *  lane ordering; see EngineOptions::adaptiveLanes). */
+    /** Win-rate table key of this lane's preset family (race
+     *  order; see EngineOptions::portfolio). */
     std::string familyKey;
 
     Lane(int idx, const VerifierOptions &opts, const bexp::Arena &arena,
@@ -158,12 +158,11 @@ struct VerificationEngine::Conditions
     bexp::NodeRef zero = bexp::kFalse;
     bexp::NodeRef plus = bexp::kFalse;
     std::size_t nodes = 0;
-    /** @name Static analyzer verdicts (UNSAT-only; Pass::None means
-     *  the condition must go to SAT).  Only ever set for NON-constant
-     *  conditions - constants decide through structuralOutcome(),
-     *  which must never be bypassed (it also settles Sat). @{ */
-    analysis::Pass zeroDischargedBy = analysis::Pass::None;
-    analysis::Pass plusDischargedBy = analysis::Pass::None;
+    /** @name Affine pre-build discharges (UNSAT-only): the stored
+     *  formula is a kFalse placeholder that was never built, so it
+     *  must not be read as a structural constant. @{ */
+    bool zeroDischarged = false;
+    bool plusDischarged = false;
     /** @} */
 };
 
@@ -361,9 +360,7 @@ analysisTotalsOf(const VerificationEngine::Stats &stats)
     AnalysisTotals totals;
     totals.discharged =
         static_cast<std::int64_t>(stats.analysisDischarged);
-    totals.affine = static_cast<std::int64_t>(stats.analysisAffine);
-    totals.permutation =
-        static_cast<std::int64_t>(stats.analysisPermutation);
+    totals.affine = totals.discharged; // the only discharging pass
     return totals;
 }
 
@@ -400,7 +397,7 @@ VerificationEngine::conditionsFor(ir::QubitId q)
     // q = 0 ends with q = 1, i.e. |0> is not restored.
     if (affine.zeroUnsat) {
         conds->zero = bexp::kFalse;
-        conds->zeroDischargedBy = analysis::Pass::Affine;
+        conds->zeroDischarged = true;
     } else {
         const bexp::NodeRef b_q = finals[q];
         conds->zero =
@@ -412,7 +409,7 @@ VerificationEngine::conditionsFor(ir::QubitId q)
     // i.e. |+> is not restored.
     if (affine.plusUnsat) {
         conds->plus = bexp::kFalse;
-        conds->plusDischargedBy = analysis::Pass::Affine;
+        conds->plusDischarged = true;
     } else {
         // One memo per polarity for the whole wire loop: the finals
         // share most of their DAG, so each node is rewritten at most
@@ -439,41 +436,8 @@ VerificationEngine::conditionsFor(ir::QubitId q)
     }
     conds->nodes =
         arena.dagSize(conds->zero) + arena.dagSize(conds->plus);
-
-    // Static dischargers: whatever the analyzer proves UNSAT from
-    // circuit structure skips its SAT race in prepare().  Constant
-    // conditions are left to structuralOutcome() - it is both cheaper
-    // and the only path that may also settle Sat.
-    if (options_.analysis.anyPass() &&
-        (!arena.isConst(conds->zero) || !arena.isConst(conds->plus))) {
-        if (!analyzer_)
-            analyzer_ = std::make_unique<analysis::Analyzer>(
-                circuit_, options_.analysis);
-        const analysis::QubitFacts &facts = analyzer_->qubitFacts(q);
-        if (!arena.isConst(conds->zero))
-            conds->zeroDischargedBy = facts.zeroDischargedBy;
-        if (!arena.isConst(conds->plus))
-            conds->plusDischargedBy = facts.plusDischargedBy;
-    }
     conditionCache[q] = std::move(conds);
     return *conditionCache[q];
-}
-
-void
-VerificationEngine::noteDischarge(analysis::Pass pass)
-{
-    ++engineStats.analysisDischarged;
-    switch (pass) {
-      case analysis::Pass::Affine:
-        ++engineStats.analysisAffine;
-        break;
-      case analysis::Pass::Permutation:
-        ++engineStats.analysisPermutation;
-        break;
-      case analysis::Pass::None:
-        qbAssert(false, "noteDischarge: no pass");
-        break;
-    }
 }
 
 void
@@ -515,15 +479,15 @@ VerificationEngine::submitRace(bexp::NodeRef condition)
         }
         liveRaces.push_back(race);
     }
-    // Adaptive lane ordering: submit the first slices in descending
-    // family win rate, so with fewer workers than lanes the probable
-    // winner's slice is popped first.  Ties fall back to index order;
-    // verdicts are unaffected either way (collectRace picks the
-    // winner by index, counterexamples come from the replay solve).
+    // Race order: submit the first slices in descending family win
+    // rate, so with fewer workers than lanes the probable winner's
+    // slice is popped first.  Ties fall back to index order; verdicts
+    // are unaffected either way (collectRace picks the winner by
+    // index, counterexamples come from the replay solve).
     std::vector<std::size_t> order(racers);
     for (std::size_t i = 0; i < racers; ++i)
         order[i] = i;
-    if (options_.adaptiveLanes && racers > 1) {
+    if (racers > 1) {
         std::vector<double> score(racers);
         for (std::size_t i = 0; i < racers; ++i)
             score[i] = scheduler_->laneWinRate(lanes_[i]->familyKey);
@@ -560,7 +524,7 @@ VerificationEngine::submitLaneTask(const std::shared_ptr<Race> &race,
         --tasksInFlight;
         fenceIdle.notify_all();
     };
-    // Adaptive requeue priority: when the slice that just yielded
+    // Requeue priority: when the slice that just yielded
     // belongs to the current FAVORITE family (best win rate), its
     // continuation goes to the FRONT of the fairness band, so the
     // probable winner keeps its head start across slice boundaries of
@@ -569,8 +533,7 @@ VerificationEngine::submitLaneTask(const std::shared_ptr<Race> &race,
     // collectRace picks winners by lane index and counterexamples
     // come from the replay solve.
     bool front = false;
-    if (continuation && options_.adaptiveLanes && options_.portfolio &&
-        lanes_.size() > 1) {
+    if (continuation && options_.portfolio && lanes_.size() > 1) {
         const double mine = scheduler_->laneWinRate(lane.familyKey);
         front = true;
         for (const auto &other : lanes_) {
@@ -809,10 +772,11 @@ VerificationEngine::collectRace(Race &race, QubitResult &out)
         if (!winner && o.result != sat::SolveResult::Unknown)
             winner = &o;
     }
-    // Feed the adaptive table: the deciding lane's family won, every
-    // other lane that actually raced lost.  Undecided races (all
-    // Unknown) teach nothing.
-    if (options_.adaptiveLanes && winner) {
+    // Feed the race-order table: the deciding lane's family won,
+    // every other lane that actually raced lost.  Undecided races
+    // (all Unknown) and single-lane races teach nothing - the latter
+    // have no order to learn.
+    if (winner && options_.portfolio && lanes_.size() > 1) {
         for (const LaneOutcome &o : race.outcomes) {
             if (o.lane < 0)
                 continue;
@@ -922,17 +886,16 @@ VerificationEngine::prepare(ir::QubitId q)
     // stored formula is a kFalse placeholder, never built) counts as
     // an analysis discharge instead.
     p.out.solvedStructurally =
-        conds.zeroDischargedBy == analysis::Pass::None &&
-        conds.plusDischargedBy == analysis::Pass::None &&
+        !conds.zeroDischarged && !conds.plusDischarged &&
         arena.isConst(conds.zero) && arena.isConst(conds.plus);
     p.conds = &conds;
 
-    if (conds.zeroDischargedBy != analysis::Pass::None) {
+    if (conds.zeroDischarged) {
         // Statically proven UNSAT: no race.  finish() treats a null
         // zero handle as a settled Unsat, exactly as for a constant.
         // Checked BEFORE the constant test so affine placeholders
         // route here, not through structuralOutcome().
-        noteDischarge(conds.zeroDischargedBy);
+        ++engineStats.analysisDischarged;
     } else if (arena.isConst(conds.zero)) {
         const LaneOutcome zero = structuralOutcome(conds.zero);
         if (zero.result == sat::SolveResult::Sat) {
@@ -947,8 +910,8 @@ VerificationEngine::prepare(ir::QubitId q)
     }
     // Queue (6.2) speculatively: safe qubits (the common case) need it
     // anyway, and an Unsafe (6.1) answer cancels the race.
-    if (conds.plusDischargedBy != analysis::Pass::None)
-        noteDischarge(conds.plusDischargedBy);
+    if (conds.plusDischarged)
+        ++engineStats.analysisDischarged;
     else if (!arena.isConst(conds.plus))
         p.plus = submitRace(conds.plus);
     return p;
@@ -1043,7 +1006,7 @@ VerificationEngine::finish(Pending p)
     if (p.plus) {
         plus = collectRace(*p.plus, p.out);
         p.plus.reset();
-    } else if (p.conds->plusDischargedBy != analysis::Pass::None) {
+    } else if (p.conds->plusDischarged) {
         // Statically discharged in prepare(): settled Unsat with no
         // lane attribution.  (structuralOutcome() would read a
         // constant value this non-constant condition does not have.)

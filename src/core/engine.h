@@ -64,6 +64,19 @@ struct EngineOptions
     /**
      * Race every lane on every SAT query; the first definitive answer
      * wins and cancels the rest.  With a single lane this is a no-op.
+     *
+     * Race order is adaptive: each race submits its lanes' first
+     * slices in descending win rate of the lane's FAMILY (preset
+     * configuration), and a yielding slice of the current favorite
+     * requeues at the front of its fairness band.  Win rates live on
+     * the shared Scheduler, so they accumulate across the whole
+     * session - and across requests in server mode.  On hosts with
+     * fewer workers than lanes this is the difference between the
+     * probable winner's slice running immediately and it waiting
+     * behind a probable loser's.  Verdicts and counterexamples are
+     * unaffected: the winner of a collected race is chosen by lane
+     * index, and counterexamples come from the deterministic replay
+     * solve.
      */
     bool portfolio = false;
 
@@ -100,22 +113,6 @@ struct EngineOptions
     bool binaryAnalysis = true;
 
     /**
-     * Adaptive lane ordering (portfolio mode): seed each race with
-     * the lane whose FAMILY (preset configuration) has the best win
-     * rate so far, instead of always racing in index order.  Win
-     * rates live on the shared Scheduler, so they accumulate across
-     * the whole session - and across requests in server mode - and
-     * what lane A earned on the first qubits orders the races for
-     * the rest.  On hosts with fewer workers than lanes this is the
-     * difference between the probable winner's first slice running
-     * immediately and it waiting behind a probable loser's slice.
-     * Verdicts and counterexamples are unaffected: the winner of a
-     * collected race is chosen by lane index, and counterexamples
-     * come from the deterministic replay solve.
-     */
-    bool adaptiveLanes = false;
-
-    /**
      * Scheduler fairness band of this session's work (lane queues and
      * scratch tasks).  Sessions sharing one pool but belonging to
      * different request streams - distinct programs in qborrow server
@@ -127,15 +124,15 @@ struct EngineOptions
     unsigned fairnessBand = 0;
 
     /**
-     * Static condition dischargers (analysis/analyzer.h) consulted
-     * before any SAT race is queued: a condition the analyzer proves
-     * UNSAT from circuit structure skips encoding and solving
-     * entirely.  Discharges are UNSAT-only, so verdicts and
+     * Static condition discharge (analysis/analyzer.h), consulted
+     * before a qubit's conditions are built: a condition the affine
+     * pass proves UNSAT from circuit structure skips building,
+     * encoding and solving entirely.  Discharges are UNSAT-only, so verdicts and
      * counterexamples are identical to a SAT-only run; only the
      * skipped work (and the analysis counters) differ.  On by
      * default; analysis::AnalysisOptions::none() restores pure-SAT
      * behavior.  Result-affecting for caching purposes - the serving
-     * tier folds these knobs into its options fingerprint.
+     * tier folds this option into its options fingerprint.
      */
     analysis::AnalysisOptions analysis;
 
@@ -215,16 +212,12 @@ class VerificationEngine
         std::size_t structural = 0;      ///< conditions folded to const
         std::size_t conditionHits = 0;   ///< condition cache hits
         std::size_t qubitsVerified = 0;
-        /** @name Conditions proven UNSAT statically (no SAT race
-         *  queued), total and per discharging pass.  Affine
-         *  discharges additionally skip BUILDING the condition: the
-         *  GF(2)-affine pass is consulted before the formula
+        /** Conditions the GF(2)-affine pass proved UNSAT (no SAT
+         *  race queued).  A discharge also skips BUILDING the
+         *  condition: the pass is consulted before the formula
          *  construction, window-free, so wide linear cones pay
-         *  neither the (6.2) cofactor sweep nor any encoding. @{ */
+         *  neither the (6.2) cofactor sweep nor any encoding. */
         std::size_t analysisDischarged = 0;
-        std::size_t analysisAffine = 0;
-        std::size_t analysisPermutation = 0;
-        /** @} */
         /** DAG nodes rewritten by the (6.2) cofactor sweeps, both
          *  polarities: linear in the circuit per qubit (regression
          *  tests count it instead of timing the build).  Not part of
@@ -332,7 +325,6 @@ class VerificationEngine
     void cancelNow();
 
     const Conditions &conditionsFor(ir::QubitId q);
-    void noteDischarge(analysis::Pass pass);
     std::shared_ptr<Race> submitRace(bexp::NodeRef condition);
     void submitLaneTask(const std::shared_ptr<Race> &race,
                         std::size_t lane_index,
@@ -364,7 +356,7 @@ class VerificationEngine
     std::shared_ptr<CancelSource> cancel_;
     std::atomic<bool> cancelled_{false};
     std::vector<std::unique_ptr<Lane>> lanes_;
-    /** Static dischargers over circuit_; created on first use. */
+    /** Static discharge over circuit_; created on first use. */
     std::unique_ptr<analysis::Analyzer> analyzer_;
     std::vector<std::unique_ptr<Conditions>> conditionCache;
     /** Cofactor memos of the (6.2) sweep, q := 0 and q := 1; reset

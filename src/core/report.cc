@@ -94,14 +94,13 @@ emitProgram(const ProgramResult &result,
            count(s.transitiveReduced);
     out += "},";
     out += nl;
-    // Static-analysis dischargers: conditions proven UNSAT without a
-    // SAT call, attributed to the pass that proved them.
+    // Static discharges: conditions proven UNSAT without a SAT call,
+    // total and by the affine pass.
     const AnalysisTotals &a = result.analysisTotals;
     out += indent;
     out += "\"analysis\": {";
     out += "\"analysis_discharged\": " + count(a.discharged) + ", ";
-    out += "\"affine\": " + count(a.affine) + ", ";
-    out += "\"permutation\": " + count(a.permutation);
+    out += "\"affine\": " + count(a.affine);
     out += "},";
     out += nl;
     out += indent;

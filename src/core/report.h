@@ -34,8 +34,7 @@ std::string toJson(const QubitResult &result);
  *               (vivified, subsumed, strengthened), arena GC runs and
  *               peaks, binary-graph passes (scc_merged_vars,
  *               probed_failed, hyper_binaries, transitive_reduced) },
- *   "analysis": { "analysis_discharged": n, "affine": n,
- *                 "permutation": n },
+ *   "analysis": { "analysis_discharged": n, "affine": n },
  *   "qubits": [ <QubitResult objects> ]
  * }
  */

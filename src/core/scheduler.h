@@ -91,7 +91,7 @@ class Scheduler
     /** Run @p task on any worker, unordered, in fairness band
      *  @p band.  @p front puts it at the FRONT of the band instead of
      *  the back: the next pop that reaches this band takes it first
-     *  (the adaptive engine boosts the favorite lane's continuation
+     *  (the engine boosts the favorite lane's continuation
      *  slices this way so win-rate ordering helps long races, not
      *  just the first slice). */
     void submit(unsigned band, Task task, bool front = false);
@@ -128,8 +128,8 @@ class Scheduler
      * object shared across a program's sessions, and across ALL
      * requests in server mode - so the win rates a family earned on
      * early queries (or earlier programs) seed later races: the
-     * adaptive engine submits the likely winner's first slice ahead
-     * of its rivals (EngineOptions::adaptiveLanes), which is what
+     * engine submits the likely winner's first slice ahead of its
+     * rivals (see EngineOptions::portfolio), which is what
      * cuts sliced-racing overhead when workers are scarcer than
      * lanes.  Thread-safe.
      */

@@ -104,19 +104,18 @@ struct QubitResult
 
 /**
  * Conditions the static analyzer (analysis/analyzer.h) proved UNSAT
- * without a SAT call, total and per discharging pass.
+ * without a SAT call, total and by the GF(2)-affine pass (today the
+ * only discharger, so the two are equal).
  */
 struct AnalysisTotals
 {
     std::int64_t discharged = 0; ///< conditions skipped entirely
     std::int64_t affine = 0;
-    std::int64_t permutation = 0;
 
     void accumulate(const AnalysisTotals &other)
     {
         discharged += other.discharged;
         affine += other.affine;
-        permutation += other.permutation;
     }
 };
 

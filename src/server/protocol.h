@@ -134,7 +134,6 @@ struct StatsSnapshot
         std::uint64_t evictions = 0;
         std::size_t entries = 0;
     };
-    Cache programCache;
     Cache resultCache;
 
     /** Open connections right now / configured cap (0 = unlimited). */
@@ -148,9 +147,6 @@ struct StatsSnapshot
      *  non-cache-hit verify served (cache hits replay a stored
      *  report and add nothing). */
     std::uint64_t analysisDischarged = 0;
-    /** Of those, conditions the GF(2)-affine dataflow pass proved
-     *  (it additionally skips building the condition formula). */
-    std::uint64_t analysisAffine = 0;
     /** Binary implication graph pass totals (solver inprocessing),
      *  summed over every non-cache-hit verify served: variables
      *  merged by SCC equivalence reduction, failed literals proven,

@@ -174,9 +174,6 @@ struct Server::Impl
      *  verify the SAT tier actually ran (result-cache hits replay a
      *  stored report whose discharges were counted when stored). */
     std::atomic<std::uint64_t> statAnalysisDischarged{0};
-    /** Of those, discharges the GF(2)-affine dataflow pass proved
-     *  (the only pass that also skips building the condition). */
-    std::atomic<std::uint64_t> statAnalysisAffine{0};
     /** Binary implication graph pass totals, same accumulation
      *  contract as statAnalysisDischarged (fresh runs only). */
     std::atomic<std::uint64_t> statSccMergedVars{0};
@@ -186,8 +183,7 @@ struct Server::Impl
 
     explicit Impl(ServerOptions opts)
         : options(std::move(opts)), queue(options.queueCapacity),
-          tier(serving::ServingOptions{options.programCacheCapacity,
-                                       options.resultCacheCapacity})
+          tier(serving::ServingOptions{options.resultCacheCapacity})
     {}
 
     void createListeners();
@@ -454,15 +450,9 @@ Server::Impl::handleLine(
         snapshot.opStats = statOpStats.load();
         snapshot.opShutdown = statOpShutdown.load();
         snapshot.opAuth = statOpAuth.load();
-        const auto fill = [](StatsSnapshot::Cache &dst,
-                             const serving::CacheCounters &src) {
-            dst.hits = src.hits;
-            dst.misses = src.misses;
-            dst.evictions = src.evictions;
-            dst.entries = src.entries;
-        };
-        fill(snapshot.programCache, tier.programCounters());
-        fill(snapshot.resultCache, tier.resultCounters());
+        const serving::CacheCounters results = tier.resultCounters();
+        snapshot.resultCache = {results.hits, results.misses,
+                                results.evictions, results.entries};
         {
             const std::lock_guard<std::mutex> guard(connectionsMutex);
             snapshot.activeConnections = connections.size();
@@ -471,7 +461,6 @@ Server::Impl::handleLine(
         snapshot.connectionsRefused = statConnRefused.load();
         snapshot.authRejected = statAuthRejected.load();
         snapshot.analysisDischarged = statAnalysisDischarged.load();
-        snapshot.analysisAffine = statAnalysisAffine.load();
         snapshot.sccMergedVars = statSccMergedVars.load();
         snapshot.probedFailed = statProbedFailed.load();
         snapshot.hyperBinaries = statHyperBinaries.load();
@@ -573,20 +562,23 @@ Server::Impl::handleLine(
 core::EngineOptions
 Server::Impl::engineOptionsFor(const RequestOptions &request)
 {
-    core::EngineOptions base = options.engine;
+    const core::EngineOptions &base = options.engine;
     core::EngineOptions chosen = base;
-    if (request.lane == "A") {
-        chosen = core::EngineOptions::singleLane(
-            core::VerifierOptions::laneA());
-    } else if (request.lane == "B") {
-        chosen = core::EngineOptions::singleLane(
-            core::VerifierOptions::laneB());
-    } else if (request.lane == "portfolio") {
-        chosen = core::EngineOptions::portfolioAB();
-    }
-    // Server-wide policies survive a lane override.
-    chosen.inprocessInterval = base.inprocessInterval;
-    chosen.adaptiveLanes = base.adaptiveLanes;
+    // A lane override replaces only the lane set and the portfolio
+    // flag: server-wide policies (analysis, binary analysis,
+    // inprocessing) stay as configured.
+    const auto useLanes = [&chosen](const core::EngineOptions &preset) {
+        chosen.lanes = preset.lanes;
+        chosen.portfolio = preset.portfolio;
+    };
+    if (request.lane == "A")
+        useLanes(core::EngineOptions::singleLane(
+            core::VerifierOptions::laneA()));
+    else if (request.lane == "B")
+        useLanes(core::EngineOptions::singleLane(
+            core::VerifierOptions::laneB()));
+    else if (request.lane == "portfolio")
+        useLanes(core::EngineOptions::portfolioAB());
     chosen.jobs = options.jobs;
     const bool want_cex = request.counterexampleSet
         ? request.counterexample
@@ -682,11 +674,10 @@ Server::Impl::serveRequest(QueuedRequest item)
             if (!connection->open.load(std::memory_order_acquire))
                 cancel->requestCancel();
         };
-    // The serving tier owns elaboration (hash-consed per source) and
-    // memoized verdicts; a result-cache hit replays the stored qubit
-    // frames through the observer and never touches the pool.
-    // Elaboration of a MISS runs on this worker thread, off the SAT
-    // pool, as before.
+    // The serving tier owns elaboration and memoized verdicts; a
+    // result-cache hit replays the stored qubit frames through the
+    // observer and never touches the pool.  Elaboration of a MISS
+    // runs on this worker thread, off the SAT pool.
     serving::ServingTier::Outcome outcome;
     try {
         outcome = tier.verify(
@@ -715,10 +706,6 @@ Server::Impl::serveRequest(QueuedRequest item)
         outcome.result.analysisTotals.discharged > 0)
         statAnalysisDischarged += static_cast<std::uint64_t>(
             outcome.result.analysisTotals.discharged);
-    if (!outcome.fromResultCache &&
-        outcome.result.analysisTotals.affine > 0)
-        statAnalysisAffine += static_cast<std::uint64_t>(
-            outcome.result.analysisTotals.affine);
     if (!outcome.fromResultCache) {
         const sat::SolverStats &st = outcome.result.solverTotals;
         statSccMergedVars +=

@@ -82,9 +82,6 @@ struct ServerOptions
      *  this long (0 = never). */
     unsigned idleTimeoutSeconds = 0;
 
-    /** Serving-tier program cache capacity (0 disables). */
-    std::size_t programCacheCapacity = 64;
-
     /** Serving-tier result cache capacity (0 disables). */
     std::size_t resultCacheCapacity = 256;
 

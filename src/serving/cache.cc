@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "support/logging.h"
-
 namespace qb::serving {
 
 std::uint64_t
@@ -20,87 +18,6 @@ hashSource(const std::string &source)
     return h;
 }
 
-ProgramCache::ProgramCache(std::size_t capacity) : capacity_(capacity)
-{
-}
-
-void
-ProgramCache::touchLocked(std::uint64_t hash)
-{
-    lru_.remove(hash);
-    lru_.push_front(hash);
-}
-
-std::shared_ptr<ProgramEntry>
-ProgramCache::acquire(const std::string &source)
-{
-    const std::uint64_t hash = hashSource(source);
-    if (capacity_ != 0) {
-        const std::lock_guard<std::mutex> guard(mutex_);
-        const auto it = entries_.find(hash);
-        if (it != entries_.end() && *it->second->source == source) {
-            ++hits_;
-            touchLocked(hash);
-            return it->second;
-        }
-        ++misses_;
-    }
-
-    // Elaborate OUTSIDE the cache lock: elaboration of a large
-    // program must not stall unrelated hits.  Two racing submissions
-    // of the same novel source may both elaborate; the first insert
-    // wins and the loser adopts it.
-    auto entry = std::make_shared<ProgramEntry>();
-    entry->source = std::make_shared<const std::string>(source);
-    entry->hash = hash;
-    try {
-        entry->program = std::make_shared<const lang::ElaboratedProgram>(
-            lang::elaborateSource(source));
-    } catch (const FatalError &e) {
-        entry->elaborationError = e.what();
-    }
-
-    if (capacity_ == 0)
-        return entry;
-
-    const std::lock_guard<std::mutex> guard(mutex_);
-    const auto it = entries_.find(hash);
-    if (it != entries_.end()) {
-        if (*it->second->source == source) {
-            // Lost the race to an identical insert: reuse the winner
-            // (it may already be computing this program).
-            touchLocked(hash);
-            return it->second;
-        }
-        // 64-bit hash collision with a DIFFERENT live source: serve
-        // the newcomer uncached rather than evict the incumbent.
-        return entry;
-    }
-    entries_.emplace(hash, entry);
-    lru_.push_front(hash);
-    while (entries_.size() > capacity_) {
-        const std::uint64_t victim = lru_.back();
-        lru_.pop_back();
-        entries_.erase(victim);
-        ++evictions_;
-        // In-flight users of the victim keep it alive through their
-        // shared_ptr.
-    }
-    return entry;
-}
-
-CacheCounters
-ProgramCache::counters() const
-{
-    const std::lock_guard<std::mutex> guard(mutex_);
-    CacheCounters c;
-    c.hits = hits_;
-    c.misses = misses_;
-    c.evictions = evictions_;
-    c.entries = entries_.size();
-    return c;
-}
-
 ResultCache::ResultCache(std::size_t capacity) : capacity_(capacity)
 {
 }
@@ -112,10 +29,9 @@ ResultCache::keyOf(std::uint64_t hash, const std::string &options_key)
 }
 
 void
-ResultCache::touchLocked(const std::string &key)
+ResultCache::touchLocked(Entry &entry)
 {
-    lru_.remove(key);
-    lru_.push_front(key);
+    lru_.splice(lru_.begin(), lru_, entry.lruPos);
 }
 
 std::shared_ptr<const core::ProgramResult>
@@ -133,7 +49,7 @@ ResultCache::lookup(std::uint64_t hash, const std::string &source,
         return nullptr;
     }
     ++hits_;
-    touchLocked(key);
+    touchLocked(it->second);
     return it->second.result;
 }
 
@@ -151,16 +67,17 @@ ResultCache::insert(std::uint64_t hash,
         std::make_shared<const core::ProgramResult>(std::move(result));
     const auto it = entries_.find(key);
     if (it != entries_.end()) {
-        it->second = {std::move(source), std::move(stored)};
-        touchLocked(key);
+        it->second.source = std::move(source);
+        it->second.result = std::move(stored);
+        touchLocked(it->second);
         return;
     }
-    entries_.emplace(key, Entry{std::move(source), std::move(stored)});
     lru_.push_front(key);
+    entries_.emplace(
+        key, Entry{std::move(source), std::move(stored), lru_.begin()});
     while (entries_.size() > capacity_) {
-        const std::string victim = lru_.back();
+        entries_.erase(lru_.back());
         lru_.pop_back();
-        entries_.erase(victim);
         ++evictions_;
     }
 }

@@ -2,14 +2,13 @@
 
 #include <chrono>
 
-#include "support/logging.h"
+#include "lang/elaborate.h"
 #include "support/strings.h"
 
 namespace qb::serving {
 
 ServingTier::ServingTier(ServingOptions options)
-    : programs_(options.programCacheCapacity),
-      results_(options.resultCacheCapacity)
+    : results_(options.resultCacheCapacity)
 {
 }
 
@@ -19,17 +18,16 @@ ServingTier::optionsFingerprint(const core::EngineOptions &engine_opts,
 {
     // Everything that can change a VERDICT or a report field other
     // than timing goes in; scheduling-only knobs (fairnessBand, jobs,
-    // adaptiveLanes, inprocessInterval) stay out so they do not
-    // splinter the cache.  Lane order matters (reports name lanes by
-    // index), so lanes are fingerprinted in order.
+    // inprocessInterval) stay out so they do not splinter the cache.
+    // Lane order matters (reports name lanes by index), so lanes are
+    // fingerprinted in order.
     std::string key = check_clean ? "clean;" : "dirty;";
     key += engine_opts.portfolio ? "pf;" : "sl;";
     // Static-analysis options change report fields (the "analysis"
     // discharge counters) even though verdicts are unaffected, so they
     // key the cache too.
     const analysis::AnalysisOptions &an = engine_opts.analysis;
-    key += format("an%d%d.w%u;", an.affine ? 1 : 0,
-                  an.permutation ? 1 : 0, an.permutationWindow);
+    key += format("an%d;", an.affine ? 1 : 0);
     for (const core::VerifierOptions &lane : engine_opts.lanes) {
         const sat::SolverConfig &s = lane.solver;
         key += format(
@@ -71,28 +69,20 @@ ServingTier::verify(const std::string &source,
     };
 
     // A miss here is not final (an identical submission may be about
-    // to publish); the re-check under the entry lock counts it.
+    // to publish); the re-check under the flight lock counts it.
     if (const auto stored = results_.lookup(hash, source, options_key,
                                             /*count_miss=*/false))
         return replay(*stored);
 
-    // Hash-cons the program; a fresh entry elaborates here.
-    const std::shared_ptr<ProgramEntry> entry = programs_.acquire(source);
-    if (!entry->elaborationError.empty()) {
-        Outcome out;
-        out.failed = true;
-        out.error = entry->elaborationError;
-        return out;
-    }
-
-    // Single-flight per (program, options fingerprint).
+    // Single-flight per (source hash, options fingerprint).
+    const std::pair<std::uint64_t, std::string> flight{hash,
+                                                       options_key};
     {
-        std::unique_lock<std::mutex> lock(entry->mutex);
-        while (entry->computing.count(options_key) != 0) {
+        std::unique_lock<std::mutex> lock(flightMutex_);
+        while (computing_.count(flight) != 0) {
             // An identical submission is computing right now: wait
             // for it to publish instead of duplicating the SAT work.
-            entry->cv.wait_for(lock,
-                               std::chrono::milliseconds(50));
+            flightDone_.wait_for(lock, std::chrono::milliseconds(50));
             if (cancel && cancel->cancelRequested())
                 break;
         }
@@ -103,43 +93,40 @@ ServingTier::verify(const std::string &source,
             return Outcome{};
         }
         // The computer publishes to the result cache BEFORE clearing
-        // its computing mark, so a woken waiter hits here.
+        // its mark, so a woken waiter hits here.
         if (const auto stored =
                 results_.lookup(hash, source, options_key))
             return replay(*stored);
-        entry->computing.insert(options_key);
+        computing_.insert(flight);
     }
 
     Outcome out;
-    bool threw = false;
     try {
-        out.result = core::verifyAll(*entry->program, engine_opts,
-                                     observer, check_clean, scheduler,
-                                     cancel);
-    } catch (const FatalError &e) {
-        threw = true;
+        // Elaboration runs on the calling (request worker) thread,
+        // off the SAT pool.
+        const lang::ElaboratedProgram program =
+            lang::elaborateSource(source);
+        out.result = core::verifyAll(program, engine_opts, observer,
+                                     check_clean, scheduler, cancel);
+    } catch (const std::exception &e) {
+        // A bad program fails its request; FatalError (malformed
+        // source) is the expected case.
         out.failed = true;
         out.error = e.what();
     }
 
     {
-        const std::lock_guard<std::mutex> guard(entry->mutex);
-        // Clear the single-flight mark even on failure, so waiters
-        // can take over.
-        entry->computing.erase(options_key);
+        const std::lock_guard<std::mutex> guard(flightMutex_);
         const bool cancelled = cancel && cancel->cancelRequested();
-        if (!threw && !cancelled)
-            results_.insert(hash, entry->source, options_key,
-                            out.result);
+        if (!out.failed && !cancelled)
+            results_.insert(hash,
+                            std::make_shared<const std::string>(source),
+                            options_key, out.result);
+        // Clear the mark even on failure, so waiters can take over.
+        computing_.erase(flight);
     }
-    entry->cv.notify_all();
+    flightDone_.notify_all();
     return out;
-}
-
-CacheCounters
-ServingTier::programCounters() const
-{
-    return programs_.counters();
 }
 
 CacheCounters

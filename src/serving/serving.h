@@ -3,47 +3,49 @@
  * ServingTier: the request-to-engine layer of the qborrow daemon.
  *
  * One ServingTier sits between the server's request workers and
- * core::verifyAll(), composing the two caches of serving/cache.h into
- * the full serving policy for a verify request:
+ * core::verifyAll(), composing the result cache of serving/cache.h
+ * into the full serving policy for a verify request:
  *
  *   1. RESULT HIT - the (source, options) pair has a memoized
  *      verdict: replay the stored per-qubit results through the
  *      observer and return the stored ProgramResult, byte-identical
  *      to the run that produced it.  No scheduler work at all.
- *   2. PROGRAM HIT, no verdict - the source is known: skip parsing
- *      and elaboration and verify the cached elaborated program.
- *   3. MISS - elaborate, then verify.
+ *   2. MISS - elaborate, verify, publish the result.
  *
  * Every verification builds fresh engine sessions, so a report's
  * solver and analysis counters are that run's own work whatever the
  * cache state.
  *
- * Identical concurrent submissions are SINGLE-FLIGHT per (program,
- * options fingerprint): one request computes, the others wait on the
- * entry and answer from the result cache the moment the computer
- * publishes - unless the computer is cancelled, in which case the
- * next waiter takes over the computation.  Cancellation is honored at
- * every stage: a cancelled computer's result is NOT memoized (it
- * contains Unknown verdicts) and a cancelled waiter settles with a
- * cancelled outcome immediately.
+ * Identical concurrent submissions are SINGLE-FLIGHT per (source
+ * hash, options fingerprint): one request computes, the others wait
+ * on the tier and answer from the result cache the moment the
+ * computer publishes - unless the computer is cancelled or fails, in
+ * which case the next waiter takes over the computation.
+ * Cancellation is honored at every stage: a cancelled computer's
+ * result is NOT memoized (it contains Unknown verdicts) and a
+ * cancelled waiter settles with a cancelled outcome within one 50 ms
+ * poll.
  */
 
 #ifndef QB_SERVING_SERVING_H
 #define QB_SERVING_SERVING_H
 
+#include <condition_variable>
+#include <cstdint>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <utility>
 
 #include "core/engine.h"
 #include "serving/cache.h"
 
 namespace qb::serving {
 
-/** Capacity knobs of the tier's two caches. */
+/** Capacity of the tier's result cache. */
 struct ServingOptions
 {
-    /** Distinct programs kept hash-consed (0 disables). */
-    std::size_t programCacheCapacity = 64;
     /** Memoized (program, options) verdicts kept (0 disables). */
     std::size_t resultCacheCapacity = 256;
 };
@@ -55,7 +57,8 @@ class ServingTier
     struct Outcome
     {
         core::ProgramResult result;
-        /** Request failed before verification (elaboration error). */
+        /** Request failed: the source did not elaborate, or
+         *  verification threw. */
         bool failed = false;
         std::string error;
         /** Answered from the result cache (no SAT work). */
@@ -101,12 +104,18 @@ class ServingTier
     optionsFingerprint(const core::EngineOptions &engine_opts,
                        bool check_clean);
 
-    CacheCounters programCounters() const;
     CacheCounters resultCounters() const;
 
   private:
-    ProgramCache programs_;
     ResultCache results_;
+
+    /** @name Single-flight state. @{ */
+    std::mutex flightMutex_;
+    std::condition_variable flightDone_;
+    /** (source hash, options fingerprint) pairs being verified right
+     *  now; guarded by flightMutex_. */
+    std::set<std::pair<std::uint64_t, std::string>> computing_;
+    /** @} */
 };
 
 } // namespace qb::serving

@@ -259,11 +259,11 @@ crossCheckQbr(const std::string &src, std::size_t *safe_out,
 }
 
 /**
- * Cross-check one qbr program with the static dischargers on vs off;
- * empty string means agreement.  The dischargers are UNSAT-only
+ * Cross-check one qbr program with the static discharge on vs off;
+ * empty string means agreement.  The discharge makes UNSAT-only
  * proofs, so verdict, failed condition and counterexample must all be
  * bit-identical - formulaNodes / solvedStructurally / analysisTotals
- * legitimately differ (that is the point of the passes) and are not
+ * legitimately differ (that is the point of the pass) and are not
  * compared.  Throws what the pipeline throws (callers wrap).
  */
 std::string

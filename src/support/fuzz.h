@@ -24,9 +24,9 @@
  *    brute-force oracle on the lifetime slice.
  *
  *  - analysis cases: the same random-program pipeline run twice,
- *    once with the static dischargers on (the default
- *    analysis::AnalysisOptions) and once fully off (SAT-only).  The
- *    dischargers are UNSAT-only proofs, so every per-qubit verdict,
+ *    once with the static discharge on (the default
+ *    analysis::AnalysisOptions) and once off (SAT-only).  The
+ *    discharge makes UNSAT-only proofs, so every per-qubit verdict,
  *    failed condition and counterexample must be bit-identical; any
  *    difference is an unsound discharge.  The corpus tilts toward
  *    CNOT/X-heavy (linear) programs, where the GF(2)-affine pass

@@ -4,8 +4,8 @@
  *
  *  - unit tests for the dataflow engine and its three lattice domains
  *    (GF(2)-affine, constants, backward liveness), gate by gate;
- *  - unit tests for the two dischargers (affine, permutation),
- *    including near-miss circuits that must NOT discharge;
+ *  - unit tests for the affine discharger and lint's permutation
+ *    check, including near-miss circuits that must NOT discharge;
  *  - soundness cross-checks: verdicts with analysis enabled must be
  *    identical to SAT-only verdicts, on hand-built circuits and on
  *    randomly generated programs up to width 64;
@@ -394,21 +394,21 @@ TEST(Permutation, NonClassicalGateOutsideConeIsIgnored)
 TEST(Analyzer, CreditsAffinePassOnMirroredCircuit)
 {
     // G ; B ; rev(G) over CNOT/X is linear: the affine pass proves
-    // both conditions, and is credited for them.
+    // both conditions.
     const Circuit c = cleanMirrorCircuit();
     Analyzer analyzer(c, AnalysisOptions{});
-    const QubitFacts &f = analyzer.qubitFacts(1);
-    EXPECT_EQ(Pass::Affine, f.zeroDischargedBy);
-    EXPECT_EQ(Pass::Affine, f.plusDischargedBy);
+    const AffineFacts f = analyzer.affineFacts(1);
+    EXPECT_TRUE(f.zeroUnsat);
+    EXPECT_TRUE(f.plusUnsat);
 }
 
 TEST(Analyzer, AllPassesOffDischargesNothing)
 {
     const Circuit c = cleanMirrorCircuit();
     Analyzer analyzer(c, AnalysisOptions::none());
-    const QubitFacts &f = analyzer.qubitFacts(1);
-    EXPECT_EQ(Pass::None, f.zeroDischargedBy);
-    EXPECT_EQ(Pass::None, f.plusDischargedBy);
+    const AffineFacts f = analyzer.affineFacts(1);
+    EXPECT_FALSE(f.zeroUnsat);
+    EXPECT_FALSE(f.plusUnsat);
 }
 
 TEST(Analyzer, NonClassicalCircuitDischargesNothing)
@@ -417,9 +417,9 @@ TEST(Analyzer, NonClassicalCircuitDischargesNothing)
     c.append(Gate::h(0));
     c.append(Gate::cnot(0, 1));
     Analyzer analyzer(c, AnalysisOptions{});
-    const QubitFacts &f = analyzer.qubitFacts(1);
-    EXPECT_EQ(Pass::None, f.zeroDischargedBy);
-    EXPECT_EQ(Pass::None, f.plusDischargedBy);
+    const AffineFacts f = analyzer.affineFacts(1);
+    EXPECT_FALSE(f.zeroUnsat);
+    EXPECT_FALSE(f.plusUnsat);
 }
 
 // ----------------------------------------------------- affine pass
@@ -495,7 +495,7 @@ runAffineEngine(const Circuit &c, ir::QubitId q)
     core::VerificationEngine on(c);
     core::VerificationEngine off(c, without);
     AffineEngineRun run{on.verify(q), off.verify(q), 0};
-    run.affineCredits = on.stats().analysisAffine;
+    run.affineCredits = on.stats().analysisDischarged;
     return run;
 }
 
@@ -614,12 +614,12 @@ TEST(AffinePass, DischargesWideLinearConeBeyondPermutationWindow)
  * A circuit that restores qubit 2 semantically but not syntactically:
  * (a AND b) XOR (a AND NOT b) XOR a = 0, an identity the boolexpr
  * arena has no distributivity rule to fold.  Condition (6.1) for
- * qubit 2 therefore stays NON-constant - a SAT-only run must race the
- * solver - while the permutation pass proves restoration exactly
- * within its window and discharges it statically.  (Exact textbook
- * mirrors never reach the analyzer at engine level: the arena's
+ * qubit 2 therefore stays NON-constant and goes to SAT.  Condition
+ * (6.2) is what the affine pass discharges before the build: w is
+ * the only ⊤ wire, and the exact rows of a and b do not mention w.
+ * (Exact textbook mirrors need no analyzer at all: the arena's
  * hash-consing cancels rev(G) node-for-node and both conditions fold
- * to constants first.)
+ * to constants.)
  */
 Circuit
 nonFoldingRestoreCircuit()
@@ -650,7 +650,6 @@ TEST(EngineAnalysis, RestoredQubitDischargesWithoutChangingVerdict)
     EXPECT_EQ(r_off.verdict, r_on.verdict);
     EXPECT_EQ(r_off.failed, r_on.failed);
     EXPECT_GE(on.stats().analysisDischarged, 1u);
-    EXPECT_GE(on.stats().analysisPermutation, 1u);
     EXPECT_EQ(0u, off.stats().analysisDischarged);
 }
 
@@ -672,8 +671,7 @@ TEST(EngineAnalysis, TotalsAndReportJsonCarryDischarges)
     EXPECT_EQ(core::Verdict::Safe, result.qubits[0].verdict);
     EXPECT_GE(result.analysisTotals.discharged, 1);
     EXPECT_EQ(result.analysisTotals.discharged,
-              result.analysisTotals.affine +
-                  result.analysisTotals.permutation);
+              result.analysisTotals.affine);
     const std::string json = core::toJson(result, "mirror.qbr");
     EXPECT_NE(std::string::npos, json.find("\"analysis\":"));
     EXPECT_NE(std::string::npos, json.find("\"analysis_discharged\":"));
@@ -681,17 +679,25 @@ TEST(EngineAnalysis, TotalsAndReportJsonCarryDischarges)
 
 TEST(EngineAnalysis, MirrorMcxGeneratorDischargesAtAnyScale)
 {
-    // The benchmark generator behind CI's "discharges >= 1"
-    // assertion: the restore cell keeps the dirty qubit's cone at 3
-    // wires however long the surrounding mirrored ladder grows, so
-    // the permutation pass fires at every m.
+    // The restore cell keeps the dirty qubit's cone at 3 wires
+    // however long the surrounding mirrored ladder grows, so lint's
+    // permutation check proves restoration at every m, and the
+    // engine's verdict agrees.
     for (const std::uint32_t m : {3u, 8u, 20u}) {
-        const core::ProgramResult result = core::verifySource(
-            circuits::mirrorMcxQbrSource(m));
+        const std::string source = circuits::mirrorMcxQbrSource(m);
+        const core::ProgramResult result = core::verifySource(source);
         ASSERT_EQ(1u, result.qubits.size()) << "m=" << m;
         EXPECT_EQ(core::Verdict::Safe, result.qubits[0].verdict)
             << "m=" << m;
-        EXPECT_GE(result.analysisTotals.permutation, 1) << "m=" << m;
+        const auto prog = lang::elaborateSource(source);
+        const ir::QubitId w =
+            prog.qubitsWithRole(lang::QubitRole::BorrowVerify).at(0);
+        const auto &info = prog.qubits[w];
+        EXPECT_EQ(PermutationVerdict::Restored,
+                  permutationCheck(
+                      prog.circuit.slice(info.scopeBegin, info.scopeEnd),
+                      w))
+            << "m=" << m;
     }
     EXPECT_THROW(circuits::mirrorMcxQbrSource(2),
                  std::invalid_argument);
@@ -1136,14 +1142,11 @@ TEST(ServingFingerprint, AnalysisOptionsAreResultAffecting)
     core::EngineOptions base;
     core::EngineOptions off;
     off.analysis = AnalysisOptions::none();
-    core::EngineOptions narrow;
-    narrow.analysis.permutationWindow = 4;
 
     const auto fp = [](const core::EngineOptions &o) {
         return serving::ServingTier::optionsFingerprint(o, false);
     };
     EXPECT_NE(fp(base), fp(off));
-    EXPECT_NE(fp(base), fp(narrow));
     EXPECT_EQ(fp(base), fp(core::EngineOptions{}));
 }
 
@@ -1154,8 +1157,7 @@ TEST(ServingFingerprint, EveryAnalysisOptionsFieldIsResultAffecting)
     // compile here.  Update in lockstep: the binding, the per-field
     // flips below and the "an..." encoder in
     // ServingTier::optionsFingerprint().
-    [[maybe_unused]] const auto [affine_field, permutation_field,
-                                 window_field] = AnalysisOptions{};
+    [[maybe_unused]] const auto [affine_field] = AnalysisOptions{};
 
     const auto fp = [](const core::EngineOptions &o) {
         return serving::ServingTier::optionsFingerprint(o, false);
@@ -1168,13 +1170,9 @@ TEST(ServingFingerprint, EveryAnalysisOptionsFieldIsResultAffecting)
     };
     const std::string affine =
         flipped([](AnalysisOptions &a) { a.affine = false; });
-    const std::string permutation =
-        flipped([](AnalysisOptions &a) { a.permutation = false; });
-    const std::string window = flipped(
-        [](AnalysisOptions &a) { a.permutationWindow = 7; });
     // Each single-field flip changes the key, and no two flips
     // collide with each other.
-    const std::string keys[] = {fp(base), affine, permutation, window};
+    const std::string keys[] = {fp(base), affine};
     for (std::size_t i = 0; i < std::size(keys); ++i)
         for (std::size_t j = i + 1; j < std::size(keys); ++j)
             EXPECT_NE(keys[i], keys[j]) << i << " vs " << j;

@@ -15,7 +15,6 @@
 #include <fstream>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "circuits/adders.h"
@@ -31,6 +30,46 @@ namespace {
 
 using ir::Circuit;
 using ir::Gate;
+
+/**
+ * Occupies the single worker of a one-worker pool so that work
+ * submitted afterwards queues up behind it.  Declare it BEFORE the
+ * pool: the pool's destructor drains the gate task, which still
+ * touches this object.
+ */
+class WorkerGate
+{
+  public:
+    /** Submit the gate task to @p pool and return only once it is
+     *  running - else the worker could take later work first. */
+    void hold(Scheduler &pool)
+    {
+        pool.submit([this] {
+            std::unique_lock<std::mutex> lock(mutex_);
+            running_ = true;
+            changed_.notify_all();
+            changed_.wait(lock, [this] { return open_; });
+        });
+        std::unique_lock<std::mutex> lock(mutex_);
+        changed_.wait(lock, [this] { return running_; });
+    }
+
+    /** Let the gate task finish. */
+    void release()
+    {
+        {
+            const std::lock_guard<std::mutex> guard(mutex_);
+            open_ = true;
+        }
+        changed_.notify_all();
+    }
+
+  private:
+    std::mutex mutex_;
+    std::condition_variable changed_;
+    bool running_ = false;
+    bool open_ = false;
+};
 
 TEST(Scheduler, RunsEverySubmittedTask)
 {
@@ -78,25 +117,16 @@ TEST(Scheduler, BandsInterleaveRoundRobin)
     // cannot starve the other - the server-mode guarantee that one
     // program's queued races cannot block another program's first.
     std::vector<int> order;
+    WorkerGate gate;
     {
         Scheduler pool(1);
-        std::mutex mutex;
-        std::condition_variable released;
-        bool go = false;
         // Gate the single worker so both bands fill while it is busy.
-        pool.submit([&] {
-            std::unique_lock<std::mutex> lock(mutex);
-            released.wait(lock, [&] { return go; });
-        });
+        gate.hold(pool);
         for (int i = 0; i < 3; ++i)
             pool.submit(1u, [&order, i] { order.push_back(100 + i); });
         for (int i = 0; i < 3; ++i)
             pool.submit(2u, [&order, i] { order.push_back(200 + i); });
-        {
-            const std::lock_guard<std::mutex> guard(mutex);
-            go = true;
-        }
-        released.notify_all();
+        gate.release();
     } // destructor drains
     const std::vector<int> expected{100, 200, 101, 201, 102, 202};
     EXPECT_EQ(expected, order);
@@ -104,28 +134,19 @@ TEST(Scheduler, BandsInterleaveRoundRobin)
 
 TEST(Scheduler, FrontSubmissionJumpsItsBandBacklog)
 {
-    // The adaptive engine boosts the likely winner's next slice with
+    // The engine boosts the likely winner's next slice with
     // front=true: it must run before the band's queued backlog, while
     // normally-submitted tasks keep FIFO order among themselves.
     std::vector<int> order;
+    WorkerGate gate;
     {
         Scheduler pool(1);
-        std::mutex mutex;
-        std::condition_variable released;
-        bool go = false;
-        pool.submit([&] {
-            std::unique_lock<std::mutex> lock(mutex);
-            released.wait(lock, [&] { return go; });
-        });
+        gate.hold(pool);
         for (int i = 0; i < 3; ++i)
             pool.submit(1u, [&order, i] { order.push_back(i); });
         pool.submit(1u, [&order] { order.push_back(99); },
                     /*front=*/true);
-        {
-            const std::lock_guard<std::mutex> guard(mutex);
-            go = true;
-        }
-        released.notify_all();
+        gate.release();
     } // destructor drains
     const std::vector<int> expected{99, 0, 1, 2};
     EXPECT_EQ(expected, order);
@@ -137,15 +158,10 @@ TEST(Scheduler, FrontSubmissionBoostsItsSerialQueue)
     // its queue's pending tasks AND lifts the queue's next activation
     // ahead of its band - without breaking per-queue exclusivity.
     std::vector<int> order;
+    WorkerGate gate;
     {
         Scheduler pool(1);
-        std::mutex mutex;
-        std::condition_variable released;
-        bool go = false;
-        pool.submit([&] {
-            std::unique_lock<std::mutex> lock(mutex);
-            released.wait(lock, [&] { return go; });
-        });
+        gate.hold(pool);
         const auto slow = pool.makeQueue(1u);
         const auto hot = pool.makeQueue(1u);
         for (int i = 0; i < 2; ++i)
@@ -153,56 +169,38 @@ TEST(Scheduler, FrontSubmissionBoostsItsSerialQueue)
         pool.submit(hot, [&order] { order.push_back(10); });
         pool.submit(hot, [&order] { order.push_back(42); },
                     /*front=*/true);
-        {
-            const std::lock_guard<std::mutex> guard(mutex);
-            go = true;
-        }
-        released.notify_all();
+        gate.release();
     } // destructor drains
     // Both queues were already activated (at the band's back, in
     // submission order) when the boost arrived, so slow's first task
     // still runs first; the boost latches and applies at hot's NEXT
     // activation push.  From there hot runs the boosted task ahead of
     // its own FIFO backlog AND re-activates ahead of slow's pending
-    // turn - the requeued-slice scenario the adaptive engine hits.
+    // turn - the requeued-slice scenario the engine's races hit.
     const std::vector<int> expected{0, 42, 10, 1};
     EXPECT_EQ(expected, order);
 }
 
 TEST(Scheduler, BandBacklogReportsQueuedWork)
 {
-    std::mutex mutex;
-    std::condition_variable released;
-    std::atomic<bool> gate_running{false};
-    bool go = false;
+    std::vector<std::pair<unsigned, std::size_t>> backlog;
+    WorkerGate gate;
     {
         Scheduler pool(1);
-        // Gate the single worker so the bands fill behind it - and
-        // WAIT until it is actually inside the gate task, or it
-        // would drain some band work first.
-        pool.submit([&] {
-            gate_running.store(true);
-            std::unique_lock<std::mutex> lock(mutex);
-            released.wait(lock, [&] { return go; });
-        });
-        while (!gate_running.load())
-            std::this_thread::yield();
+        // Gate the single worker so the bands fill behind it.
+        gate.hold(pool);
         for (int i = 0; i < 3; ++i)
             pool.submit(5u, [] {});
         for (int i = 0; i < 2; ++i)
             pool.submit(9u, [] {});
-        const auto backlog = pool.bandBacklog();
-        ASSERT_EQ(2u, backlog.size());
-        EXPECT_EQ(5u, backlog[0].first);
-        EXPECT_EQ(3u, backlog[0].second);
-        EXPECT_EQ(9u, backlog[1].first);
-        EXPECT_EQ(2u, backlog[1].second);
-        {
-            const std::lock_guard<std::mutex> guard(mutex);
-            go = true;
-        }
-        released.notify_all();
+        backlog = pool.bandBacklog();
+        gate.release();
     } // destructor drains
+    ASSERT_EQ(2u, backlog.size());
+    EXPECT_EQ(5u, backlog[0].first);
+    EXPECT_EQ(3u, backlog[0].second);
+    EXPECT_EQ(9u, backlog[1].first);
+    EXPECT_EQ(2u, backlog[1].second);
 }
 
 TEST(Scheduler, LaneWinRateStartsNeutralAndLearns)
@@ -264,41 +262,37 @@ class JobsDeterminism : public ::testing::TestWithParam<int>
 {};
 
 /** --jobs 1 and --jobs N must agree exactly on @p c, racing lanes A
- *  and B, with adaptive lane ordering off AND on. */
+ *  and B. */
 void
 expectJobsDeterminism(const Circuit &c)
 {
-    for (const bool adaptive : {false, true}) {
-        EngineOptions serial = EngineOptions::portfolioAB();
-        serial.adaptiveLanes = adaptive;
-        EngineOptions parallel = serial;
-        serial.jobs = 1;
-        parallel.jobs = 4;
-        VerificationEngine one(c, serial);
-        VerificationEngine many(c, parallel);
-        const ProgramResult r1 = one.verifyAllQubits();
-        const ProgramResult rn = many.verifyAllQubits();
-        ASSERT_EQ(r1.qubits.size(), rn.qubits.size());
-        for (std::size_t i = 0; i < r1.qubits.size(); ++i) {
-            EXPECT_EQ(r1.qubits[i].verdict, rn.qubits[i].verdict)
-                << "qubit " << i << " adaptive " << adaptive;
-            EXPECT_EQ(r1.qubits[i].failed, rn.qubits[i].failed)
-                << "qubit " << i << " adaptive " << adaptive;
-            EXPECT_EQ(r1.qubits[i].counterexample,
-                      rn.qubits[i].counterexample)
-                << "qubit " << i << " adaptive " << adaptive;
-        }
+    EngineOptions serial = EngineOptions::portfolioAB();
+    EngineOptions parallel = serial;
+    serial.jobs = 1;
+    parallel.jobs = 4;
+    VerificationEngine one(c, serial);
+    VerificationEngine many(c, parallel);
+    const ProgramResult r1 = one.verifyAllQubits();
+    const ProgramResult rn = many.verifyAllQubits();
+    ASSERT_EQ(r1.qubits.size(), rn.qubits.size());
+    for (std::size_t i = 0; i < r1.qubits.size(); ++i) {
+        EXPECT_EQ(r1.qubits[i].verdict, rn.qubits[i].verdict)
+            << "qubit " << i;
+        EXPECT_EQ(r1.qubits[i].failed, rn.qubits[i].failed)
+            << "qubit " << i;
+        EXPECT_EQ(r1.qubits[i].counterexample,
+                  rn.qubits[i].counterexample)
+            << "qubit " << i;
     }
 }
 
 TEST_P(JobsDeterminism, OneAndManyJobsIdenticalVerdictsAndCex)
 {
     // The acceptance contract of the scheduler: --jobs 1 and --jobs N
-    // produce identical verdicts AND identical counterexamples, with
-    // adaptive ordering on and off.
+    // produce identical verdicts AND identical counterexamples.
     // (Counterexamples come from the deterministic replay solve, so
-    // racing cannot leak in; adaptive ordering only permutes race
-    // submission, and the race winner is picked by lane index.)
+    // racing cannot leak in; the win-rate race order only permutes
+    // race submission, and the race winner is picked by lane index.)
     Rng rng(GetParam() + 77000);
     expectJobsDeterminism(randomCircuit(rng, 6, 14));
 }
@@ -308,7 +302,7 @@ TEST_P(JobsDeterminism, BinaryHeavyCircuitsStayDeterministic)
     // X/CNOT-only circuits elaborate to XOR-shaped conditions whose
     // Tseitin encodings are dominated by short clauses: the formulas
     // that stress the specialized binary watchers.  The determinism
-    // contract must hold there too, adaptive ordering on and off.
+    // contract must hold there too.
     Rng rng(GetParam() + 88000);
     const std::uint32_t n = 6;
     Circuit c(n);
@@ -369,37 +363,33 @@ TEST(SchedulerEngine, StressRandomCircuitsAgreeWithBruteForce)
 
 TEST(SchedulerEngine, AdaptiveLanesMatchDefaultOrderExactly)
 {
-    // --adaptive-lanes only permutes which lane's first slice is
-    // queued first; verdicts, failed conditions and counterexamples
-    // must be byte-identical to the default index order, and the
-    // shared win-rate table must actually learn from the races.
+    // Races are ordered by the scheduler's lane-family win rates.  On
+    // a fresh pool every family sits at the neutral prior, so the
+    // first batch races in lane index order; a second batch over the
+    // SAME pool starts from the table the first one taught (the
+    // family keys are internal, so the warm path is probed
+    // end-to-end).  Verdicts, failed conditions and counterexamples
+    // must be byte-identical either way, and at --jobs 1 as at 2.
     const auto program =
         lang::elaborateSource(circuits::adderQbrSource(10));
-    EngineOptions plain = EngineOptions::portfolioAB();
-    plain.jobs = 2;
-    EngineOptions adaptive = plain;
-    adaptive.adaptiveLanes = true;
-    const ProgramResult expected = verifyAll(program, plain);
+    EngineOptions options = EngineOptions::portfolioAB();
+    options.jobs = 1;
+    const ProgramResult expected = verifyAll(program, options);
     const auto scheduler = std::make_shared<Scheduler>(2u);
-    const ProgramResult got = verifyAll(program, adaptive, {}, false,
-                                        scheduler, nullptr);
-    ASSERT_EQ(expected.qubits.size(), got.qubits.size());
-    for (std::size_t i = 0; i < expected.qubits.size(); ++i) {
-        EXPECT_EQ(expected.qubits[i].verdict, got.qubits[i].verdict);
-        EXPECT_EQ(expected.qubits[i].failed, got.qubits[i].failed);
-        EXPECT_EQ(expected.qubits[i].counterexample,
-                  got.qubits[i].counterexample);
+    for (const char *batch : {"cold", "warm"}) {
+        const ProgramResult got =
+            verifyAll(program, options, {}, false, scheduler, nullptr);
+        ASSERT_EQ(expected.qubits.size(), got.qubits.size()) << batch;
+        for (std::size_t i = 0; i < expected.qubits.size(); ++i) {
+            EXPECT_EQ(expected.qubits[i].verdict, got.qubits[i].verdict)
+                << batch << " qubit " << i;
+            EXPECT_EQ(expected.qubits[i].failed, got.qubits[i].failed)
+                << batch << " qubit " << i;
+            EXPECT_EQ(expected.qubits[i].counterexample,
+                      got.qubits[i].counterexample)
+                << batch << " qubit " << i;
+        }
     }
-    // Second batch over the SAME scheduler: the races now start from
-    // a warmed win-rate table (the family keys are internal, so the
-    // warm path is probed end-to-end), and the answers must still be
-    // identical.
-    const ProgramResult again = verifyAll(program, adaptive, {},
-                                          false, scheduler, nullptr);
-    ASSERT_EQ(expected.qubits.size(), again.qubits.size());
-    for (std::size_t i = 0; i < expected.qubits.size(); ++i)
-        EXPECT_EQ(expected.qubits[i].verdict,
-                  again.qubits[i].verdict);
 }
 
 /** Current thread count of this process, 0 if unknowable. */

@@ -575,6 +575,32 @@ TEST(Server, ConcurrentClientsMatchOneShotRuns)
     EXPECT_EQ(0u, counters.errors);
 }
 
+TEST(Server, LaneOverrideKeepsServerWideAnalysisPolicy)
+{
+    // A per-request lane replaces the lane set only: a server started
+    // with the static discharge off must stay SAT-only for a request
+    // that picks lane A.  The wide linear mirror is the program the
+    // affine pass would otherwise discharge.
+    ServerOptions options;
+    options.socketPath = testSocketPath("laneanalysis");
+    options.jobs = 1;
+    options.engine.analysis = analysis::AnalysisOptions::none();
+    Server server(std::move(options));
+    server.start();
+
+    TestClient client(server.socketPath());
+    client.send(verifyRequestLine(
+        1, circuits::wideLinearMirrorQbrSource(64), R"("lane": "A")"));
+    const auto frames = client.collect(1);
+    ASSERT_EQ("result", frames.back().find("type")->asString());
+    const JsonValue *report = frames.back().find("report");
+    EXPECT_TRUE(report->find("all_safe")->asBool(false));
+    EXPECT_EQ(0, report->find("analysis")
+                     ->find("analysis_discharged")
+                     ->asInt(-1));
+    server.shutdown();
+}
+
 TEST(Server, PerRequestOptionsOverrideDefaults)
 {
     ServerOptions options;
@@ -993,7 +1019,6 @@ TEST(StatsResponse, ServingFieldsAreBackwardCompatibleAdditions)
     snapshot.opAuth = 1;
     snapshot.resultCache.hits = 4;
     snapshot.resultCache.evictions = 1;
-    snapshot.programCache.entries = 2;
     snapshot.activeConnections = 1;
     snapshot.connectionLimit = 8;
     snapshot.authRejected = 6;
@@ -1011,7 +1036,6 @@ TEST(StatsResponse, ServingFieldsAreBackwardCompatibleAdditions)
     ASSERT_NE(nullptr, caches);
     EXPECT_EQ(4, caches->find("result")->find("hits")->asInt());
     EXPECT_EQ(1, caches->find("result")->find("evictions")->asInt());
-    EXPECT_EQ(2, caches->find("program")->find("entries")->asInt());
     EXPECT_EQ(1, doc.find("connections")->find("active")->asInt());
     EXPECT_EQ(8, doc.find("connections")->find("limit")->asInt());
     EXPECT_EQ(6,
@@ -1019,36 +1043,6 @@ TEST(StatsResponse, ServingFieldsAreBackwardCompatibleAdditions)
 }
 
 // ==================================================== serving-tier units
-
-TEST(ServingCache, ProgramCacheHashConsesAndEvictsLru)
-{
-    serving::ProgramCache cache(2);
-    const std::string program_a = "borrow@ q;\n";
-    const auto a = cache.acquire(program_a);
-    const auto a_again = cache.acquire(program_a);
-    EXPECT_EQ(a.get(), a_again.get()) << "hash-consed";
-    const auto b = cache.acquire("borrow@ r;\n");
-    EXPECT_TRUE(b->elaborationError.empty());
-    cache.acquire("borrow@ s;\n"); // capacity 2: evicts a (LRU)
-    const auto a_fresh = cache.acquire(program_a);
-    EXPECT_NE(a.get(), a_fresh.get()) << "was evicted";
-    const auto counters = cache.counters();
-    EXPECT_EQ(1u, counters.hits);
-    EXPECT_EQ(4u, counters.misses);
-    EXPECT_EQ(2u, counters.evictions);
-    EXPECT_EQ(2u, counters.entries);
-}
-
-TEST(ServingCache, ProgramCacheCachesElaborationErrors)
-{
-    serving::ProgramCache cache(4);
-    const auto bad = cache.acquire("this is not a program");
-    EXPECT_FALSE(bad->elaborationError.empty());
-    EXPECT_EQ(nullptr, bad->program.get());
-    // Negative entries are cached too: resubmission fails fast.
-    const auto again = cache.acquire("this is not a program");
-    EXPECT_EQ(bad.get(), again.get());
-}
 
 TEST(ServingCache, ResultCacheKeysOnSourceHashAndOptions)
 {
@@ -1090,7 +1084,6 @@ TEST(ServingTier, OptionsFingerprintSeparatesResultAffectingKnobs)
     core::EngineOptions scheduling = base;
     scheduling.fairnessBand = 77;
     scheduling.jobs = 9;
-    scheduling.adaptiveLanes = true;
     EXPECT_EQ(key, serving::ServingTier::optionsFingerprint(
                        scheduling, false));
 }
@@ -1099,8 +1092,8 @@ TEST(ServingTier, CountsOneResultCacheOutcomePerRequest)
 {
     // Sequential submissions of k distinct sources: the first of each
     // is one miss (the first try and the single-flight re-check under
-    // the entry lock count once together), every repeat one hit.
-    serving::ServingTier tier({64, 256});
+    // the flight lock count once together), every repeat one hit.
+    serving::ServingTier tier({256});
     const auto scheduler = std::make_shared<core::Scheduler>(1u);
     const core::EngineOptions options;
     const std::string key =
@@ -1212,12 +1205,11 @@ flatObjectText(const std::string &line, const std::string &key)
 
 TEST(Server, ProgramCacheHitReportsItsOwnWorkWhenResultCacheIsOff)
 {
-    // With the result cache off a repeat re-verifies.  The program
-    // cache skips its elaboration, but the verification starts from
-    // fresh sessions: one worker and one lane make the solver
-    // counters deterministic, so both reports must carry the same
-    // solver and analysis objects - not totals that include the
-    // first run's work.
+    // With the result cache off a repeat re-verifies, from fresh
+    // sessions: one worker and one lane make the solver counters
+    // deterministic, so both reports must carry the same solver and
+    // analysis objects - not totals that include the first run's
+    // work.
     ServerOptions options;
     options.socketPath = testSocketPath("programcache");
     options.concurrency = 1;
@@ -1246,9 +1238,6 @@ TEST(Server, ProgramCacheHitReportsItsOwnWorkWhenResultCacheIsOff)
     EXPECT_EQ(analysis, flatObjectText(second, "analysis"));
 
     const JsonValue stats = fetchStats(client, 50);
-    EXPECT_GE(stats.find("caches")->find("program")->find("hits")
-                  ->asInt(),
-              1);
     EXPECT_EQ(0,
               stats.find("caches")->find("result")->find("hits")->asInt());
     server.shutdown();

@@ -64,9 +64,6 @@ usage(const char *argv0)
         "options:\n"
         "  --lane A|B        solver lane (default A; see docs)\n"
         "  --portfolio       race both lanes per query, first wins\n"
-        "  --adaptive-lanes  track per-lane-family win rates and\n"
-        "                    seed each race with the likely winner\n"
-        "                    (portfolio mode; verdicts unchanged)\n"
         "  --jobs N          scheduler worker threads (default: all\n"
         "                    hardware threads); without --budget,\n"
         "                    verdicts and counterexamples are\n"
@@ -77,11 +74,11 @@ usage(const char *argv0)
         "                    verification; exit 1 iff any error\n"
         "  --no-lint         skip the lint pass that otherwise runs\n"
         "                    before local verification\n"
-        "  --analysis SPEC   static condition dischargers: 'all'\n"
-        "                    (default), 'off', or a comma list of\n"
-        "                    affine,permutation\n"
-        "  --analysis-window N   qubit-window bound of the\n"
-        "                    permutation discharger (default 10)\n"
+        "  --analysis SPEC   static condition discharge: 'all'\n"
+        "                    (default) or its one pass 'affine',\n"
+        "                    or 'off' for SAT-only\n"
+        "  --analysis-window N   qubit-window bound of lint's\n"
+        "                    permutation check (default 10)\n"
         "  --json            emit a machine-readable JSON report\n"
         "  --quiet           only print the summary line\n"
         "  --dump-circuit    print the elaborated gate list\n"
@@ -119,8 +116,6 @@ usage(const char *argv0)
         "                    connection (default 0 = unlimited)\n"
         "  --idle-timeout S  close connections idle for S seconds\n"
         "                    (default 0 = never)\n"
-        "  --program-cache N elaborated programs kept, hash-consed\n"
-        "                    by source (default 64, 0 disables)\n"
         "  --result-cache N  memoized verdicts kept (default 256,\n"
         "                    0 disables)\n"
         "\n"
@@ -166,7 +161,6 @@ struct CliOptions
     std::string analysisSpec;
     long analysisWindow = -1;
     bool portfolio = false;
-    bool adaptive = false;
     bool clean = false;
     bool json = false;
     bool want_cex = true;
@@ -181,7 +175,6 @@ struct CliOptions
     long maxConnections = 0;
     long maxInflight = 0;
     long idleTimeout = 0;
-    long programCache = 64;
     long resultCache = 256;
 };
 
@@ -199,33 +192,13 @@ resolveToken(const CliOptions &cli)
 qb::analysis::AnalysisOptions
 analysisOptionsFor(const CliOptions &cli)
 {
-    qb::analysis::AnalysisOptions analysis;
-    if (cli.analysisSpec == "off") {
-        analysis = qb::analysis::AnalysisOptions::none();
-    } else if (!cli.analysisSpec.empty() &&
-               cli.analysisSpec != "all") {
-        analysis = qb::analysis::AnalysisOptions::none();
-        std::size_t start = 0;
-        while (start <= cli.analysisSpec.size()) {
-            std::size_t comma = cli.analysisSpec.find(',', start);
-            if (comma == std::string::npos)
-                comma = cli.analysisSpec.size();
-            const std::string pass =
-                cli.analysisSpec.substr(start, comma - start);
-            if (pass == "affine")
-                analysis.affine = true;
-            else if (pass == "permutation")
-                analysis.permutation = true;
-            else
-                qb::fatal("unknown analysis pass '" + pass +
-                          "' (expected affine or permutation)");
-            start = comma + 1;
-        }
-    }
-    if (cli.analysisWindow >= 0)
-        analysis.permutationWindow =
-            static_cast<unsigned>(cli.analysisWindow);
-    return analysis;
+    if (cli.analysisSpec == "off")
+        return qb::analysis::AnalysisOptions::none();
+    if (!cli.analysisSpec.empty() && cli.analysisSpec != "all" &&
+        cli.analysisSpec != "affine")
+        qb::fatal("unknown --analysis value '" + cli.analysisSpec +
+                  "' (expected all, off or affine)");
+    return {};
 }
 
 qb::core::EngineOptions
@@ -239,7 +212,6 @@ engineOptionsFor(const CliOptions &cli)
     options.jobs = static_cast<unsigned>(cli.jobs);
     options.inprocessInterval = static_cast<unsigned>(cli.inprocess);
     options.binaryAnalysis = cli.binaryAnalysis;
-    options.adaptiveLanes = cli.adaptive;
     options.analysis = analysisOptionsFor(cli);
     for (qb::core::VerifierOptions &lane_options : options.lanes) {
         lane_options.wantCounterexample = cli.want_cex;
@@ -277,8 +249,9 @@ qb::analysis::LintOptions
 lintOptionsFor(const CliOptions &cli)
 {
     qb::analysis::LintOptions options;
-    options.permutationWindow =
-        analysisOptionsFor(cli).permutationWindow;
+    if (cli.analysisWindow >= 0)
+        options.permutationWindow =
+            static_cast<unsigned>(cli.analysisWindow);
     return options;
 }
 
@@ -363,8 +336,6 @@ runServer(const CliOptions &cli)
         static_cast<std::size_t>(cli.maxInflight);
     options.idleTimeoutSeconds =
         static_cast<unsigned>(cli.idleTimeout);
-    options.programCacheCapacity =
-        static_cast<std::size_t>(cli.programCache);
     options.resultCacheCapacity =
         static_cast<std::size_t>(cli.resultCache);
     const bool authed = !options.authToken.empty();
@@ -617,9 +588,6 @@ runClient(const CliOptions &cli)
         qb::warn("--jobs is server-wide; ignored in client mode");
     if (cli.inprocess != 16)
         qb::warn("--inprocess is server-wide; ignored in client mode");
-    if (cli.adaptive)
-        qb::warn("--adaptive-lanes is server-wide; ignored in "
-                 "client mode");
     if (!cli.binaryAnalysis)
         qb::warn("--no-binary-analysis is server-wide; ignored in "
                  "client mode");
@@ -728,8 +696,6 @@ run(int argc, char **argv)
             cli.want_cex = false;
         } else if (arg == "--portfolio") {
             cli.portfolio = true;
-        } else if (arg == "--adaptive-lanes") {
-            cli.adaptive = true;
         } else if (arg == "--binary-analysis") {
             cli.binaryAnalysis = true;
         } else if (arg == "--no-binary-analysis") {
@@ -783,12 +749,6 @@ run(int argc, char **argv)
         } else if (arg == "--idle-timeout" && i + 1 < argc) {
             cli.idleTimeout = std::atol(argv[++i]);
             if (cli.idleTimeout < 0) {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (arg == "--program-cache" && i + 1 < argc) {
-            cli.programCache = std::atol(argv[++i]);
-            if (cli.programCache < 0) {
                 usage(argv[0]);
                 return 2;
             }

@@ -59,8 +59,16 @@
  * >= 1, asserted by CI bench-smoke; its NoAnalysis twin must still
  * verify, pinning bit-identical verdicts).  Because the affine
  * consult happens BEFORE formula construction, the analysis-on
- * variant also skips the per-wire (6.2) cofactor build that grows
- * quadratically with n.
+ * variant skips the per-wire (6.2) cofactor build and, since the
+ * engine scans the circuit only when a condition reads the final
+ * formulas, the whole-circuit formula scan too: with both conditions
+ * discharged it builds no formula at all.  That scan is quadratic on
+ * this family (the arena re-flattens the n-ary XOR on every CNOT):
+ * on a 4-vCPU Xeon host the eager scan made `qborrow --no-lint --json`
+ * take 6.4-6.8 s and 415 MiB at n = 8192, the lazy one 0.05 s and
+ * 20 MiB, and WideLinearMirrorVerifyEngine/8192 takes 0.04 s.  CI
+ * bench-smoke fails if it reaches 1 s.  The NoAnalysis twin still
+ * scans and stays at n <= 1024.
  *
  * Linear condition construction: one cofactor memo per polarity for
  * the whole (6.2) wire loop and an exact ⊤ gate in front of the
@@ -382,7 +390,7 @@ BENCHMARK(McxMirrorVerifyEngine)
     ->Iterations(1);
 BENCHMARK(WideLinearMirrorVerifyEngine)
     ->RangeMultiplier(4)
-    ->Range(64, 1024)
+    ->Range(64, 8192)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);
 BENCHMARK(WideLinearMirrorVerifyEngineNoAnalysis)

@@ -260,14 +260,16 @@ release w;
     return out;
 }
 
-std::string
-wideLinearMirrorQbrSource(std::uint32_t n)
+/** The wide-linear mirror, with @p toffoli spliced into the fold and
+ *  into its undo (empty for the purely linear program). */
+static std::string
+wideLinearSource(const char *generator, const char *file,
+                 std::uint32_t n, const char *toffoli)
 {
     if (n < 4)
-        throw std::invalid_argument(format(
-            "wideLinearMirrorQbrSource requires n >= 4 (got %u)", n));
-    std::string out =
-        format("// wide_linear_mirror.qbr\nlet n = %u;\n", n);
+        throw std::invalid_argument(
+            format("%s requires n >= 4 (got %u)", generator, n));
+    std::string out = format("// %s\nlet n = %u;\n", file, n);
     out += R"(borrow@ q[n]; // inputs: no assumptions, skip verification
 borrow w; // dirty qubit: its cone spans all n+1 wires
 
@@ -280,18 +282,37 @@ for i = 1 to (n - 1) {
 for i = 1 to n {
     CNOT[q[i], w];
 }
-X[w];
+)";
+    out += toffoli;
+    out += R"(X[w];
 
 // ... and undo the fold in rotated order (not a textual mirror)
 for i = 2 to n {
     CNOT[q[i], w];
 }
 CNOT[q[1], w];
-X[w];
+)";
+    out += toffoli;
+    out += R"(X[w];
 
 release w;
 )";
     return out;
+}
+
+std::string
+wideLinearMirrorQbrSource(std::uint32_t n)
+{
+    return wideLinearSource("wideLinearMirrorQbrSource",
+                            "wide_linear_mirror.qbr", n, "");
+}
+
+std::string
+wideLinearToffoliMirrorQbrSource(std::uint32_t n)
+{
+    return wideLinearSource("wideLinearToffoliMirrorQbrSource",
+                            "wide_linear_toffoli_mirror.qbr", n,
+                            "CCNOT[q[1], q[2], w];\n");
 }
 
 } // namespace qb::circuits

@@ -91,6 +91,19 @@ std::string mirrorMcxQbrSource(std::uint32_t m);
 std::string wideLinearMirrorQbrSource(std::uint32_t n);
 
 /**
+ * wideLinearMirrorQbrSource() with one Toffoli in the fold and the
+ * same Toffoli again in its undo: CCNOT[q[1], q[2], w] twice, so w is
+ * still restored, but its affine row goes to ⊤ and the GF(2)-affine
+ * pass can no longer discharge (6.1).  The engine therefore builds
+ * the final formulas, and this family measures what the
+ * whole-circuit formula scan costs on a linear-heavy cone that
+ * static analysis cannot skip.
+ *
+ * @throws std::invalid_argument when n < 4.
+ */
+std::string wideLinearToffoliMirrorQbrSource(std::uint32_t n);
+
+/**
  * Knobs for randomQbrSource().  The defaults reproduce the
  * distribution the random-pipeline property tests have always used:
  * 3-5 skip-verified inputs, a 0-2 gate prefix, one verified borrow

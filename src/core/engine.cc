@@ -144,11 +144,6 @@ struct VerificationEngine::Lane
         // engine-level binary-analysis switch must reach them here.
         options.solver.binaryAnalysis =
             options.solver.binaryAnalysis && binary_analysis;
-        // The arena holds exactly the circuit's qubit formulas at lane
-        // construction time: that region sits in every condition's
-        // cone, so its definitions stay unguarded and the conflict
-        // clauses learnt over it transfer between queries.
-        encoder.markSessionShared();
     }
 };
 
@@ -264,15 +259,6 @@ VerificationEngine::VerificationEngine(
     const std::uint32_t n = circuit_.numQubits();
     conditionCache.resize(n);
     cleanCache.assign(n, std::nullopt);
-    if (classical) {
-        Timer build_timer;
-        FormulaBuilder builder(arena, n);
-        builder.applyCircuit(circuit_);
-        finals.reserve(n);
-        for (std::uint32_t q = 0; q < n; ++q)
-            finals.push_back(builder.formula(q));
-        engineStats.formulaBuildSeconds = build_timer.seconds();
-    }
     int index = 0;
     for (const VerifierOptions &lane_options : options_.lanes)
         lanes_.push_back(std::make_unique<Lane>(
@@ -364,6 +350,32 @@ analysisTotalsOf(const VerificationEngine::Stats &stats)
     return totals;
 }
 
+void
+VerificationEngine::ensureFinals()
+{
+    // All or nothing: the first reader scans the whole circuit.  Only
+    // the arena-writer thread calls this, and no race can exist before
+    // it runs (every race encodes a formula built from finals), so
+    // the scan interns exactly the nodes, in exactly the order, that
+    // an eager scan in the constructor would - same NodeRefs, same
+    // CNF, same counterexamples.
+    if (engineStats.formulaScans != 0)
+        return;
+    ++engineStats.formulaScans;
+    const std::uint32_t n = circuit_.numQubits();
+    FormulaBuilder builder(arena, n);
+    builder.applyCircuit(circuit_);
+    finals.reserve(n);
+    for (std::uint32_t q = 0; q < n; ++q)
+        finals.push_back(builder.formula(q));
+    // The arena now holds exactly the circuit's qubit formulas: that
+    // region sits in every condition's cone, so its definitions stay
+    // unguarded and the conflict clauses learnt over it transfer
+    // between queries.  No lane has encoded anything yet.
+    for (const std::unique_ptr<Lane> &lane : lanes_)
+        lane->encoder.markSessionShared();
+}
+
 const VerificationEngine::Conditions &
 VerificationEngine::conditionsFor(ir::QubitId q)
 {
@@ -399,6 +411,7 @@ VerificationEngine::conditionsFor(ir::QubitId q)
         conds->zero = bexp::kFalse;
         conds->zeroDischarged = true;
     } else {
+        ensureFinals();
         const bexp::NodeRef b_q = finals[q];
         conds->zero =
             arena.mkAnd({b_q, arena.mkNot(arena.mkVar(q))});
@@ -415,6 +428,7 @@ VerificationEngine::conditionsFor(ir::QubitId q)
         // share most of their DAG, so each node is rewritten at most
         // once per qubit, and the sweep costs O(dagSize), not
         // O(wires * dagSize).
+        ensureFinals();
         zeroCofactor_.reset(q, bexp::kFalse);
         oneCofactor_.reset(q, bexp::kTrue);
         std::vector<bexp::NodeRef> disjuncts;
@@ -946,6 +960,7 @@ VerificationEngine::prepareCleanAncilla(ir::QubitId q)
         ++engineStats.conditionHits;
         residue = *cleanCache[q];
     } else {
+        ensureFinals();
         residue = arena.substitute(finals[q], q, bexp::kFalse);
         cleanCache[q] = residue;
     }

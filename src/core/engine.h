@@ -8,9 +8,10 @@
  * share the same gate DAG and most of the same CNF.  A
  * VerificationEngine is the session object that hoists the shared work:
  *
- *   - ONE bexp::Arena and ONE FormulaBuilder pass over the circuit,
- *     shared by all per-qubit conditions (6.1), (6.2) and the
- *     clean-ancilla criterion;
+ *   - ONE bexp::Arena and at most ONE FormulaBuilder pass over the
+ *     circuit, run when the first condition needs it and shared by all
+ *     per-qubit conditions (6.1), (6.2) and the clean-ancilla
+ *     criterion;
  *   - ONE long-lived solver per configured lane, queried through
  *     assumption-based incremental SAT (sat::IncrementalTseitin emits
  *     each condition behind a selector literal), so conflict clauses
@@ -189,11 +190,14 @@ class CancelSource
 /**
  * A verification session over one circuit.
  *
- * Construction runs the linear formula-building scan once; every
- * verify()/verifyCleanAncilla() call afterwards only pays for its own
- * conditions and SAT queries.  Sessions are single-threaded objects
- * from the caller's point of view (scheduler parallelism is internal):
- * all prepare/finish/verify calls must come from one thread.
+ * The formula-building scan runs at most once, when the first
+ * condition that the static analysis could not discharge needs the
+ * final formulas; a session whose conditions are all discharged builds
+ * no formula.  Every verify()/verifyCleanAncilla() call only pays for
+ * its own conditions and SAT queries.  Sessions are single-threaded
+ * objects from the caller's point of view (scheduler parallelism is
+ * internal): all prepare/finish/verify calls must come from one
+ * thread.
  *
  * Counterexamples are extracted by a deterministic replay solve of the
  * satisfiable condition rather than from whichever racing lane
@@ -223,7 +227,11 @@ class VerificationEngine
          *  tests count it instead of timing the build).  Not part of
          *  the report JSON. */
         std::size_t substituteVisits = 0;
-        double formulaBuildSeconds = 0.0; ///< one-time circuit scan
+        /** FormulaBuilder scans of the whole circuit: 0 while every
+         *  condition so far was discharged before its build, 1 once
+         *  any condition read the final formulas.  Its time lands in
+         *  the demanding qubit's QubitResult::buildSeconds. */
+        std::size_t formulaScans = 0;
     };
 
     /**
@@ -324,6 +332,8 @@ class VerificationEngine
      *  cancelled (called by CancelSource::requestCancel()). */
     void cancelNow();
 
+    /** Run the FormulaBuilder scan into finals, once per session. */
+    void ensureFinals();
     const Conditions &conditionsFor(ir::QubitId q);
     std::shared_ptr<Race> submitRace(bexp::NodeRef condition);
     void submitLaneTask(const std::shared_ptr<Race> &race,
@@ -350,7 +360,7 @@ class VerificationEngine
     ir::Circuit circuit_;
     bexp::Arena arena;
     bool classical = false;
-    /** Final formula b_q per qubit (valid when classical). */
+    /** Final formula b_q per qubit; filled by ensureFinals(). */
     std::vector<bexp::NodeRef> finals;
     std::shared_ptr<Scheduler> scheduler_;
     std::shared_ptr<CancelSource> cancel_;

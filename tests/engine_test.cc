@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <clocale>
+#include <utility>
 
 #include "circuits/adders.h"
 #include "circuits/mcx.h"
@@ -41,6 +42,7 @@ TEST(Engine, AgreesWithOneShotOnAllCccnotQubits)
     // All queries went through one session: formulas were built once.
     EXPECT_EQ(static_cast<std::size_t>(c.numQubits()),
               engine.stats().qubitsVerified);
+    EXPECT_EQ(1u, engine.stats().formulaScans);
 }
 
 TEST(Engine, MultiQubitCircuitOneSessionManyVerdicts)
@@ -75,6 +77,19 @@ TEST(Engine, RepeatedQueryHitsConditionCache)
     EXPECT_GT(engine.stats().conditionHits, hits_before);
 }
 
+/** The single verified borrow of @p source and its scope's circuit. */
+std::pair<ir::QubitId, Circuit>
+verifiedScope(const std::string &source)
+{
+    const auto program = lang::elaborateSource(source);
+    const auto verify =
+        program.qubitsWithRole(lang::QubitRole::BorrowVerify);
+    EXPECT_EQ(1u, verify.size());
+    const lang::QubitInfo &info = program.qubits[verify.at(0)];
+    return {verify[0],
+            program.circuit.slice(info.scopeBegin, info.scopeEnd)};
+}
+
 TEST(Engine, CofactorSweepVisitsGrowLinearlyOnMcx)
 {
     // Deterministic guard on (6.2) construction: the node visits of
@@ -82,21 +97,114 @@ TEST(Engine, CofactorSweepVisitsGrowLinearlyOnMcx)
     // visited the shared DAG once per wire - 4x the visits at twice
     // the width; one memo per polarity stays at about 2x.
     const auto visits = [](std::uint32_t m) {
-        const auto program =
-            lang::elaborateSource(circuits::mcxQbrSource(m));
-        const auto verify =
-            program.qubitsWithRole(lang::QubitRole::BorrowVerify);
-        EXPECT_EQ(1u, verify.size());
-        const lang::QubitInfo &info = program.qubits[verify.at(0)];
-        VerificationEngine engine(
-            program.circuit.slice(info.scopeBegin, info.scopeEnd));
-        EXPECT_EQ(Verdict::Safe, engine.verify(verify[0]).verdict);
+        const auto [w, scope] =
+            verifiedScope(circuits::mcxQbrSource(m));
+        VerificationEngine engine(scope);
+        EXPECT_EQ(Verdict::Safe, engine.verify(w).verdict);
+        // The ladder's conditions reach the arena: one scan.
+        EXPECT_EQ(1u, engine.stats().formulaScans);
         return engine.stats().substituteVisits;
     };
     const std::size_t small = visits(200);
     const std::size_t large = visits(400);
     EXPECT_GT(small, 400u);
     EXPECT_LE(large, 2 * small + 64);
+}
+
+TEST(Engine, LateScanKeepsTheSessionSharedEncoding)
+{
+    // The lanes mark the circuit's formulas session-shared (their
+    // definitions unguarded) when the scan runs, not when the lanes
+    // are built, which is before it.  Marked at lane construction, the
+    // region would be empty and every definition guarded: more
+    // variables and clauses than the eager scan emitted, and learnt
+    // clauses that no longer transfer between qubits.  The counts are
+    // those the eager scan produced, lane A at jobs = 1.
+    EngineOptions options;
+    options.jobs = 1;
+    const auto [w, scope] = verifiedScope(circuits::mcxQbrSource(20));
+    VerificationEngine mcx(scope, options);
+    const QubitResult r = mcx.verify(w);
+    EXPECT_EQ(163u, r.cnfVars);
+    EXPECT_EQ(548u, r.cnfClauses);
+
+    const Circuit c = circuits::hanerCarryCircuit(6);
+    VerificationEngine haner(c, options);
+    std::size_t vars = 0, clauses = 0;
+    for (ir::QubitId q = 0; q < c.numQubits(); ++q) {
+        const QubitResult each = haner.verify(q);
+        vars += each.cnfVars;
+        clauses += each.cnfClauses;
+    }
+    EXPECT_EQ(194u, vars);
+    EXPECT_EQ(734u, clauses);
+}
+
+TEST(Engine, AffineDischargedSessionBuildsNoFormula)
+{
+    // Both conditions of the wide-linear mirror's dirty qubit are
+    // discharged before their build, so nothing reads the final
+    // formulas and the whole-circuit scan never runs.
+    const auto [w, scope] =
+        verifiedScope(circuits::wideLinearMirrorQbrSource(64));
+    VerificationEngine engine(scope);
+    EXPECT_EQ(0u, engine.stats().formulaScans);
+    EXPECT_EQ(Verdict::Safe, engine.verify(w).verdict);
+    EXPECT_EQ(2u, engine.stats().analysisDischarged);
+    EXPECT_EQ(0u, engine.stats().formulaScans);
+
+    // A later qubit that does need formulas scans once, and gets the
+    // verdict and counterexample of a session that scanned first.
+    const ir::QubitId input = 1; // q[2]: CNOT[q[1], q[2]] dirties it
+    const QubitResult late = engine.verify(input);
+    EXPECT_EQ(1u, engine.stats().formulaScans);
+    VerificationEngine fresh(scope);
+    const QubitResult first = fresh.verify(input);
+    EXPECT_EQ(Verdict::Unsafe, first.verdict);
+    EXPECT_EQ(first.verdict, late.verdict);
+    EXPECT_EQ(first.failed, late.failed);
+    EXPECT_EQ(first.counterexample, late.counterexample);
+}
+
+TEST(Engine, AnalysisOffScansOnceWithTheSameVerdict)
+{
+    const auto [w, scope] =
+        verifiedScope(circuits::wideLinearMirrorQbrSource(64));
+    EngineOptions options;
+    options.analysis = analysis::AnalysisOptions::none();
+    VerificationEngine engine(scope, options);
+    EXPECT_EQ(Verdict::Safe, engine.verify(w).verdict);
+    EXPECT_EQ(1u, engine.stats().formulaScans);
+    EXPECT_EQ(0u, engine.stats().analysisDischarged);
+}
+
+TEST(Engine, CleanAncillaCheckScansOnAFreshSession)
+{
+    // The clean-ancilla residue is built from the final formula with
+    // no static consult in front, so even a circuit whose borrow
+    // checks are all discharged scans here.
+    const auto [w, scope] =
+        verifiedScope(circuits::wideLinearMirrorQbrSource(64));
+    VerificationEngine engine(scope);
+    EXPECT_EQ(0u, engine.stats().formulaScans);
+    EXPECT_EQ(Verdict::Safe, engine.verifyCleanAncilla(w).verdict);
+    EXPECT_EQ(1u, engine.stats().formulaScans);
+}
+
+TEST(Engine, WideLinearToffoliMirrorIsSafeAndScans)
+{
+    // The Toffoli sends w's affine row to ⊤, so (6.1) cannot be
+    // discharged statically and the session must build formulas.
+    for (const std::uint32_t n : {4u, 6u, 9u}) {
+        const auto [w, scope] =
+            verifiedScope(circuits::wideLinearToffoliMirrorQbrSource(n));
+        EXPECT_EQ(Verdict::Safe, bruteForceVerdict(scope, w)) << n;
+        VerificationEngine engine(scope);
+        EXPECT_EQ(Verdict::Safe, engine.verify(w).verdict) << n;
+        EXPECT_EQ(1u, engine.stats().formulaScans) << n;
+    }
+    EXPECT_THROW(circuits::wideLinearToffoliMirrorQbrSource(3),
+                 std::invalid_argument);
 }
 
 TEST(Engine, NotClassicalCircuit)

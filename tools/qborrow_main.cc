@@ -582,8 +582,9 @@ runClient(const CliOptions &cli)
                   "acknowledged");
     }
 
-    // Pool size and inprocessing interval are fixed when the daemon
-    // starts; passing them here would silently do nothing, so say so.
+    // Pool size, inprocessing interval and static analysis are fixed
+    // when the daemon starts, and lint does not run in client mode;
+    // passing them here would silently do nothing, so say so.
     if (cli.jobs != 0)
         qb::warn("--jobs is server-wide; ignored in client mode");
     if (cli.inprocess != 16)
@@ -591,6 +592,11 @@ runClient(const CliOptions &cli)
     if (!cli.binaryAnalysis)
         qb::warn("--no-binary-analysis is server-wide; ignored in "
                  "client mode");
+    if (!cli.analysisSpec.empty())
+        qb::warn("--analysis is server-wide; ignored in client mode");
+    if (cli.analysisWindow >= 0)
+        qb::warn("--analysis-window bounds local lint only; ignored "
+                 "in client mode");
 
     const std::string source = readFile(cli.path);
     std::string request = "{\"op\": \"verify\", \"id\": 1";

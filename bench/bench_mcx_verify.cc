@@ -84,12 +84,22 @@
  * 2.00 -> 1.19 and 1.90 -> 1.13.  What remains above 1 in the total is
  * the formula scan and the encoding, not construction.  CI bench-smoke
  * runs EngineLaneA/9999 and fails if its build_s reaches 1 s.
+ *
+ * Lint over one per-wire gate index (ir::CircuitIndex): LintMcx and
+ * LintWideLinear time lintSource() - parse, elaborate and every lint
+ * rule - on mcx.qbr and the wide linear mirror.  borrow-not-restored
+ * used to walk every gate of a borrowed wire's lifetime per wire,
+ * O(wires x gates); it now merges the touch lists of the cone wires.
+ * CI bench-smoke runs LintMcx/8000 and fails if it reaches 1 s.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <sys/resource.h>
 
+#include <string>
+
+#include "analysis/lint.h"
 #include "circuits/qbr_text.h"
 #include "core/engine.h"
 #include "core/verifier.h"
@@ -338,6 +348,38 @@ WideLinearMirrorVerifyEngineNoAnalysis(benchmark::State &state)
     runMcxVerify(state, options, false, McxProgram::WideLinear);
 }
 
+void
+runLint(benchmark::State &state, const std::string &source)
+{
+    std::size_t diagnostics = 0;
+    for (auto _ : state) {
+        const qb::analysis::LintResult result =
+            qb::analysis::lintSource(source);
+        diagnostics = result.diagnostics.size();
+        benchmark::DoNotOptimize(diagnostics);
+    }
+    state.counters["diagnostics"] = static_cast<double>(diagnostics);
+    state.counters["peak_rss_mb"] = peakRssMb();
+}
+
+void
+LintMcx(benchmark::State &state)
+{
+    // Clean ladder: no diagnostics, every borrowed wire TooWide or
+    // Restored within a few touches of its cone.
+    runLint(state, qb::circuits::mcxQbrSource(
+                       static_cast<std::uint32_t>(state.range(0))));
+}
+
+void
+LintWideLinear(benchmark::State &state)
+{
+    // One wide cone, and n skip-verified inputs that the mixing
+    // pass leaves changed: each draws a borrow-not-restored warning.
+    runLint(state, qb::circuits::wideLinearMirrorQbrSource(
+                       static_cast<std::uint32_t>(state.range(0))));
+}
+
 } // namespace
 
 BENCHMARK(McxVerifyOneShotLaneA)
@@ -398,3 +440,14 @@ BENCHMARK(WideLinearMirrorVerifyEngineNoAnalysis)
     ->Range(64, 1024)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);
+BENCHMARK(LintMcx)
+    ->Arg(1000)
+    ->Arg(2000)
+    ->Arg(4000)
+    ->Arg(8000)
+    ->Unit(benchmark::kSecond);
+BENCHMARK(LintWideLinear)
+    ->Arg(1024)
+    ->Arg(2048)
+    ->Arg(4096)
+    ->Unit(benchmark::kSecond);

@@ -319,8 +319,14 @@ LivenessState::join(const LivenessState &other)
 std::vector<bool>
 affineTopWires(const ir::Circuit &circuit)
 {
-    std::vector<bool> top(circuit.numQubits(), false);
-    for (const ir::Gate &gate : circuit.gates()) {
+    return affineTopWires(circuit.gates(), circuit.numQubits());
+}
+
+std::vector<bool>
+affineTopWires(std::span<const ir::Gate> gates, std::uint32_t num_qubits)
+{
+    std::vector<bool> top(num_qubits, false);
+    for (const ir::Gate &gate : gates) {
         switch (gate.kind()) {
           case ir::GateKind::X:
           case ir::GateKind::CNOT:

@@ -43,6 +43,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "ir/circuit.h"
@@ -100,6 +101,8 @@ runBackward(const ir::Circuit &circuit, typename Domain::State state)
  * Backward sweep keeping every intermediate state: trace[i] is the
  * state at the boundary BEFORE gate i (i.e. what holds of values
  * flowing INTO gate i), trace[size()] the boundary seed itself.
+ * Costs size()+1 state copies; lint's qubit-never-read rule keeps one
+ * running state instead, and its tests use this as the reference.
  */
 template <typename Domain>
 std::vector<typename Domain::State>
@@ -370,6 +373,11 @@ struct LivenessDomain
  * non-classical gate poisons every wire.
  */
 std::vector<bool> affineTopWires(const ir::Circuit &circuit);
+
+/** affineTopWires() over @p gates alone (a lifetime's gate range)
+ *  acting on @p num_qubits wires. */
+std::vector<bool> affineTopWires(std::span<const ir::Gate> gates,
+                                 std::uint32_t num_qubits);
 
 /**
  * Does some gate of @p circuit WRITE wire @p q (X-family target or

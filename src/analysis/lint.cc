@@ -4,10 +4,12 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
 
 #include "analysis/dataflow.h"
 #include "analysis/permutation.h"
+#include "ir/circuit_index.h"
 #include "lang/parser.h"
 #include "support/logging.h"
 #include "support/strings.h"
@@ -115,28 +117,24 @@ gateLoc(const lang::ElaboratedProgram &program, std::size_t i)
 
 void
 lintUnusedBorrows(const lang::ElaboratedProgram &program,
+                  const ir::CircuitIndex &index,
                   std::vector<Diagnostic> &out)
 {
-    const auto &gates = program.circuit.gates();
     for (std::size_t q = 0; q < program.qubits.size(); ++q) {
         const lang::QubitInfo &info = program.qubits[q];
-        if (!isBorrowRole(info.role))
+        if (!isBorrowRole(info.role) ||
+            index.nextTouch(static_cast<ir::QubitId>(q),
+                            info.scopeBegin) < info.scopeEnd)
             continue;
-        bool used = false;
-        for (std::size_t i = info.scopeBegin;
-             i < info.scopeEnd && !used; ++i)
-            used = gates[i].touches(static_cast<ir::QubitId>(q));
-        if (!used) {
-            Diagnostic d;
-            d.severity = Severity::Warning;
-            d.rule = "unused-borrow";
-            d.loc = info.loc;
-            d.message = format(
-                "borrowed qubit '%s' is never used; drop the borrow "
-                "or narrow the register",
-                info.name.c_str());
-            out.push_back(std::move(d));
-        }
+        Diagnostic d;
+        d.severity = Severity::Warning;
+        d.rule = "unused-borrow";
+        d.loc = info.loc;
+        d.message = format(
+            "borrowed qubit '%s' is never used; drop the borrow "
+            "or narrow the register",
+            info.name.c_str());
+        out.push_back(std::move(d));
     }
 }
 
@@ -151,6 +149,7 @@ wireName(const lang::ElaboratedProgram &program, ir::QubitId q)
 
 void
 lintRedundantGates(const lang::ElaboratedProgram &program,
+                   const ir::CircuitIndex &index,
                    std::vector<Diagnostic> &out)
 {
     const auto &gates = program.circuit.gates();
@@ -206,19 +205,21 @@ lintRedundantGates(const lang::ElaboratedProgram &program,
     // Pass 2: the exact-pair rule for the nonlinear gates the affine
     // certificate cannot reach (CCNOT/MCX drive their target to ⊤).
     // A self-inverse classical gate whose NEXT wire-touching gate is
-    // an identical copy composes with it to the identity.
+    // an identical copy composes with it to the identity.  cursor[w]
+    // counts w's touches passed so far, so once gate i is counted,
+    // entry cursor[w] of w's touch list is w's next touch after i.
     std::vector<bool> dead = covered;
+    std::vector<std::size_t> cursor(n, 0);
     for (std::size_t i = 0; i < gates.size(); ++i) {
+        std::size_t next = gates.size();
+        for (const ir::QubitId w : gates[i].qubits()) {
+            const std::span<const std::size_t> list = index.touches(w);
+            const std::size_t k = ++cursor[w];
+            if (k < list.size())
+                next = std::min(next, list[k]);
+        }
         if (dead[i] || !selfInverseClassical(gates[i]))
             continue;
-        std::size_t next = gates.size();
-        for (std::size_t j = i + 1; j < gates.size() &&
-                                    next == gates.size(); ++j)
-            for (const ir::QubitId w : gates[i].qubits())
-                if (gates[j].touches(w)) {
-                    next = j;
-                    break;
-                }
         if (next == gates.size() || dead[next] ||
             !(gates[next] == gates[i]))
             continue;
@@ -290,31 +291,53 @@ lintControlAlwaysConstant(const lang::ElaboratedProgram &program,
 
 void
 lintQubitNeverRead(const lang::ElaboratedProgram &program,
+                   const ir::CircuitIndex &index,
                    std::vector<Diagnostic> &out)
 {
     const auto &gates = program.circuit.gates();
+    std::vector<ir::QubitId> allocs;
+    for (std::size_t q = 0; q < program.qubits.size(); ++q)
+        if (program.qubits[q].role == lang::QubitRole::Alloc)
+            allocs.push_back(static_cast<ir::QubitId>(q));
+    if (allocs.empty())
+        return;
     // Backward liveness seeded with every borrowed wire (their final
     // values escape to the owner).  An alloc'd qubit dead at EVERY
     // boundary of its scope is never observed - not by a control, not
     // by a non-classical gate, and never (even via Swaps) flowing
     // into an escaping wire - so all writes into it are wasted work.
-    LivenessState boundary(program.circuit.numQubits());
+    //
+    // One backward sweep with a single running state.  A wire's
+    // liveness changes only at gates touching it, so q is live at
+    // some boundary of [scopeBegin, last] exactly when it is live
+    // just before one of its touches from scopeBegin up to and
+    // including its first touch at or after `last`: liveness at
+    // `last` equals liveness just before that touch, or the seed's
+    // when there is none, and the seed holds only borrowed wires.
+    // Those touches are gates [scopeBegin, until[q]).
+    std::vector<std::size_t> until(program.circuit.numQubits(), 0);
+    for (const ir::QubitId q : allocs) {
+        const lang::QubitInfo &info = program.qubits[q];
+        const std::size_t last = std::min(info.scopeEnd, gates.size());
+        if (info.scopeBegin <= last)
+            until[q] = index.nextTouch(q, last) + 1;
+    }
+    LivenessState state(program.circuit.numQubits());
     for (std::size_t q = 0; q < program.qubits.size(); ++q)
         if (isBorrowRole(program.qubits[q].role))
-            boundary.setLive(static_cast<ir::QubitId>(q));
-    const std::vector<LivenessState> trace =
-        backwardTrace<LivenessDomain>(program.circuit, boundary);
-    for (std::size_t q = 0; q < program.qubits.size(); ++q) {
+            state.setLive(static_cast<ir::QubitId>(q));
+    std::vector<bool> read(program.circuit.numQubits(), false);
+    for (std::size_t i = gates.size(); i-- > 0;) {
+        state.applyGateBackward(gates[i]); // the boundary before gate i
+        for (const ir::QubitId w : gates[i].qubits())
+            if (i < until[w] && program.qubits[w].scopeBegin <= i &&
+                state.isLive(w))
+                read[w] = true;
+    }
+    for (const ir::QubitId q : allocs) {
+        if (read[q])
+            continue;
         const lang::QubitInfo &info = program.qubits[q];
-        if (info.role != lang::QubitRole::Alloc)
-            continue;
-        const std::size_t last =
-            std::min(info.scopeEnd, gates.size());
-        bool live = false;
-        for (std::size_t i = info.scopeBegin; i <= last && !live; ++i)
-            live = trace[i].isLive(static_cast<ir::QubitId>(q));
-        if (live)
-            continue;
         Diagnostic d;
         d.severity = Severity::Warning;
         d.rule = "qubit-never-read";
@@ -331,9 +354,8 @@ lintQubitNeverRead(const lang::ElaboratedProgram &program,
  *  once however many borrowed wires share the scope. */
 struct LifetimeScope
 {
-    ir::Circuit lifetime;
     bool classical;
-    std::vector<bool> top; ///< affineTopWires(lifetime)
+    std::vector<bool> top; ///< affineTopWires over the lifetime
     /** Unseeded affine final state, built at the first TooWide wire
      *  that the ⊤ set cannot settle. */
     std::optional<AffineState> final;
@@ -341,12 +363,14 @@ struct LifetimeScope
 
 void
 lintBorrowNotRestored(const lang::ElaboratedProgram &program,
+                      const ir::CircuitIndex &index,
                       const LintOptions &options,
                       std::vector<Diagnostic> &out)
 {
     // Keyed by (scopeBegin, scopeEnd): on the ladders every borrowed
-    // wire shares one scope, so the slice and the dense affine sweep
+    // wire shares one scope, so the ⊤ set and the dense affine sweep
     // are paid once per program instead of once per wire.
+    const std::vector<ir::Gate> &gates = program.circuit.gates();
     std::map<std::pair<std::size_t, std::size_t>, LifetimeScope> scopes;
     for (std::size_t q = 0; q < program.qubits.size(); ++q) {
         const lang::QubitInfo &info = program.qubits[q];
@@ -355,15 +379,24 @@ lintBorrowNotRestored(const lang::ElaboratedProgram &program,
             continue;
         auto it = scopes.find({info.scopeBegin, info.scopeEnd});
         if (it == scopes.end()) {
-            ir::Circuit lifetime =
-                program.circuit.slice(info.scopeBegin, info.scopeEnd);
-            const bool classical = lifetime.isClassical();
-            std::vector<bool> top = affineTopWires(lifetime);
+            const std::span<const ir::Gate> lifetime(
+                gates.begin() + static_cast<std::ptrdiff_t>(
+                                    info.scopeBegin),
+                gates.begin() + static_cast<std::ptrdiff_t>(
+                                    info.scopeEnd));
+            const bool classical =
+                std::all_of(lifetime.begin(), lifetime.end(),
+                            [](const ir::Gate &g) {
+                                return g.isClassical();
+                            });
             it = scopes
                      .emplace(std::pair{info.scopeBegin, info.scopeEnd},
-                              LifetimeScope{std::move(lifetime),
-                                            classical, std::move(top),
-                                            std::nullopt})
+                              LifetimeScope{
+                                  classical,
+                                  affineTopWires(
+                                      lifetime,
+                                      program.circuit.numQubits()),
+                                  std::nullopt})
                      .first;
         }
         LifetimeScope &scope = it->second;
@@ -371,7 +404,8 @@ lintBorrowNotRestored(const lang::ElaboratedProgram &program,
             continue;
         const ir::QubitId wire = static_cast<ir::QubitId>(q);
         const PermutationVerdict verdict = permutationCheck(
-            scope.lifetime, wire, options.permutationWindow);
+            index, wire, info.scopeBegin, info.scopeEnd,
+            options.permutationWindow);
         bool not_restored =
             verdict == PermutationVerdict::NotRestored;
         if (verdict == PermutationVerdict::TooWide) {
@@ -386,8 +420,9 @@ lintBorrowNotRestored(const lang::ElaboratedProgram &program,
             if (!scope.top[wire]) {
                 if (!scope.final)
                     scope.final = runForward<AffineDomain>(
-                        scope.lifetime,
-                        AffineState(scope.lifetime.numQubits()));
+                        program.circuit.slice(info.scopeBegin,
+                                              info.scopeEnd),
+                        AffineState(program.circuit.numQubits()));
                 not_restored = !scope.final->isIdentity(wire);
             }
         }
@@ -482,13 +517,25 @@ void
 lintElaborated(const lang::ElaboratedProgram &program,
                const LintOptions &options, LintResult &out)
 {
-    lintUnusedBorrows(program, out.diagnostics);
-    lintRedundantGates(program, out.diagnostics);
+    const ir::CircuitIndex index(program.circuit);
+    lintUnusedBorrows(program, index, out.diagnostics);
+    lintRedundantGates(program, index, out.diagnostics);
     lintControlAlwaysConstant(program, out.diagnostics);
-    lintQubitNeverRead(program, out.diagnostics);
-    lintBorrowNotRestored(program, options, out.diagnostics);
+    lintQubitNeverRead(program, index, out.diagnostics);
+    lintBorrowNotRestored(program, index, options, out.diagnostics);
     out.metrics = computeMetrics(program);
     out.elaborated = true;
+}
+
+void
+sortDiagnostics(std::vector<Diagnostic> &diagnostics)
+{
+    std::stable_sort(diagnostics.begin(), diagnostics.end(),
+                     [](const Diagnostic &a, const Diagnostic &b) {
+                         if (a.loc.line != b.loc.line)
+                             return a.loc.line < b.loc.line;
+                         return a.loc.column < b.loc.column;
+                     });
 }
 
 LintResult
@@ -507,13 +554,7 @@ lintSource(const std::string &source, const LintOptions &options)
         result.elaborated = false;
         result.elaborationError = e.what();
     }
-    std::stable_sort(result.diagnostics.begin(),
-                     result.diagnostics.end(),
-                     [](const Diagnostic &a, const Diagnostic &b) {
-                         if (a.loc.line != b.loc.line)
-                             return a.loc.line < b.loc.line;
-                         return a.loc.column < b.loc.column;
-                     });
+    sortDiagnostics(result.diagnostics);
     return result;
 }
 

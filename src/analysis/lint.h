@@ -74,7 +74,8 @@ namespace qb::analysis {
 struct LintOptions
 {
     /** Cone-width bound handed to the permutation pass for the
-     *  borrow-not-restored rule. */
+     *  borrow-not-restored rule; values above 20 act as 20
+     *  (kMaxPermutationWindow). */
     unsigned permutationWindow = 10;
 };
 
@@ -118,6 +119,10 @@ void lintAst(const lang::Program &program,
 /** IR-layer rules + metrics over an elaborated program. */
 void lintElaborated(const lang::ElaboratedProgram &program,
                     const LintOptions &options, LintResult &out);
+
+/** Stable sort by source position: the order lintSource() reports
+ *  in, for callers that run lintAst() and lintElaborated() themselves. */
+void sortDiagnostics(std::vector<Diagnostic> &diagnostics);
 
 /**
  * Parse + lint @p source: AST rules always, IR rules and metrics when

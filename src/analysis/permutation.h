@@ -3,11 +3,14 @@
  * Classical permutation propagation on a bounded qubit window.
  *
  * For one qubit q, the pass computes the backward cone of influence of
- * q's final value (walking the gate list last-to-first, a gate is
- * RELEVANT when it writes a wire already in the cone, and its operands
- * join the cone), then - when the cone stays within a configurable
- * window - forward-simulates just the relevant gates over ALL 2^k
- * assignments of the cone.  The result is q's exact output column as a
+ * q's final value (walking the gates last-to-first, a gate is RELEVANT
+ * when it writes a wire already in the cone, and its operands join the
+ * cone), then - when the cone stays within a configurable window -
+ * forward-simulates just the relevant gates over ALL 2^k assignments
+ * of the cone.  The walk merges the per-wire touch lists of an
+ * ir::CircuitIndex for the at most window + 1 cone wires, so it visits
+ * only gates touching the cone: O(window x touches) per qubit, not
+ * O(gates).  The result is q's exact output column as a
  * function of the cone inputs:
  *
  *   - output column == input column  =>  b_q = q identically, so
@@ -28,9 +31,11 @@
 #ifndef QB_ANALYSIS_PERMUTATION_H
 #define QB_ANALYSIS_PERMUTATION_H
 
+#include <cstddef>
 #include <cstdint>
 
 #include "ir/circuit.h"
+#include "ir/circuit_index.h"
 
 namespace qb::analysis {
 
@@ -44,10 +49,23 @@ enum class PermutationVerdict {
 /** Default window bound (cone qubits; 2^window assignments). */
 constexpr unsigned kDefaultPermutationWindow = 10;
 
+/** Largest window honoured; larger values act as this cap, which
+ *  keeps the 2^window enumeration bounded. */
+constexpr unsigned kMaxPermutationWindow = 20;
+
 /**
- * Exact restoration check of qubit @p q over @p circuit, bounded by
- * @p window cone qubits.
+ * Exact restoration check of qubit @p q over the gates [@p begin,
+ * @p end) of @p index's circuit, bounded by @p window cone qubits.
+ * When @p visited is non-null it receives the number of gates the
+ * backward walk visited (a deterministic cost measure).
  */
+PermutationVerdict
+permutationCheck(const ir::CircuitIndex &index, ir::QubitId q,
+                 std::size_t begin, std::size_t end,
+                 unsigned window = kDefaultPermutationWindow,
+                 std::size_t *visited = nullptr);
+
+/** permutationCheck() over the whole of @p circuit. */
 PermutationVerdict
 permutationCheck(const ir::Circuit &circuit, ir::QubitId q,
                  unsigned window = kDefaultPermutationWindow);

@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <stdexcept>
 
 #include "analysis/analyzer.h"
@@ -27,8 +29,10 @@
 #include "core/engine.h"
 #include "core/report.h"
 #include "core/verifier.h"
+#include "ir/circuit_index.h"
 #include "lang/elaborate.h"
 #include "serving/serving.h"
+#include "sim/classical.h"
 #include "support/rng.h"
 #include "support/strings.h"
 
@@ -387,6 +391,106 @@ TEST(Permutation, NonClassicalGateOutsideConeIsIgnored)
     c.append(Gate::x(1));
     c.append(Gate::x(1));
     EXPECT_EQ(PermutationVerdict::Restored, permutationCheck(c, 1));
+}
+
+TEST(Permutation, GateRangeMatchesTheSliceAndTheTruthTable)
+{
+    // The indexed check over [begin, end) of the whole circuit must
+    // answer exactly what the check answers on the sliced circuit,
+    // and every definite verdict must agree with brute force.
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        const Circuit c = randomGateSoup(seed, seed % 7 == 0);
+        const ir::CircuitIndex index(c);
+        Rng rng(seed);
+        const std::size_t begin = rng.nextBelow(c.size() + 1);
+        const std::size_t end =
+            begin + rng.nextBelow(c.size() - begin + 1);
+        const Circuit slice = c.slice(begin, end);
+        const bool classical = slice.isClassical();
+        for (ir::QubitId q = 0; q < c.numQubits(); ++q) {
+            for (const unsigned window : {2u, 4u, 8u}) {
+                const PermutationVerdict v =
+                    permutationCheck(index, q, begin, end, window);
+                EXPECT_EQ(permutationCheck(slice, q, window), v)
+                    << "seed " << seed << " q " << q;
+                // A non-classical gate off the cone leaves a verdict,
+                // but no truth table to check it against.
+                if (v == PermutationVerdict::TooWide || !classical)
+                    continue;
+                const sim::TruthTable table(slice);
+                bool restored = true;
+                for (std::uint64_t in = 0;
+                     in < (std::uint64_t{1} << c.numQubits()); ++in)
+                    restored = restored &&
+                               table.output(q, in) == table.input(q, in);
+                EXPECT_EQ(restored, v == PermutationVerdict::Restored)
+                    << "seed " << seed << " q " << q;
+            }
+        }
+    }
+}
+
+TEST(Permutation, WindowsAboveTheCapActAsTheCap)
+{
+    // A CNOT fan-in of k wires into wire 0, applied twice (so wire 0
+    // is restored), has a cone of k + 1 wires.  Under the cap of 20,
+    // k = 19 decides at every window from 20 up, while k = 20 and 21
+    // stay TooWide even at windows 21 and 64, which would decide
+    // k = 20 if they were honoured.
+    for (const std::uint32_t fan_in : {19u, 20u, 21u}) {
+        Circuit c(fan_in + 1);
+        for (ir::QubitId w = 1; w <= fan_in; ++w)
+            c.append(Gate::cnot(w, 0));
+        for (ir::QubitId w = 1; w <= fan_in; ++w)
+            c.append(Gate::cnot(w, 0));
+        const PermutationVerdict expected =
+            fan_in + 1 <= kMaxPermutationWindow
+                ? PermutationVerdict::Restored
+                : PermutationVerdict::TooWide;
+        for (const unsigned window :
+             {kMaxPermutationWindow, kMaxPermutationWindow + 1, 64u})
+            EXPECT_EQ(expected, permutationCheck(c, 0, window))
+                << fan_in << " " << window;
+    }
+}
+
+TEST(Permutation, VisitsPerWireStayConstantOnMcxLadders)
+{
+    // The backward walk visits only gates on the touch lists of at
+    // most `window` cone wires, so the visits per borrowed wire
+    // depend on the ladder's local shape, not on its length: the
+    // maximum is the same at m = 100 and m = 1000 and never exceeds
+    // window x (most touches of any wire).  A walk over every gate
+    // of the lifetime grows linearly in m instead.
+    const auto max_visits = [](std::uint32_t m, std::size_t &bound) {
+        const lang::ElaboratedProgram program =
+            lang::elaborateSource(circuits::mcxQbrSource(m));
+        const ir::CircuitIndex index(program.circuit);
+        std::size_t most_touches = 0;
+        for (ir::QubitId w = 0; w < program.circuit.numQubits(); ++w)
+            most_touches =
+                std::max(most_touches, index.touches(w).size());
+        bound = kDefaultPermutationWindow * most_touches;
+        std::size_t most = 0;
+        for (std::size_t q = 0; q < program.qubits.size(); ++q) {
+            const lang::QubitInfo &info = program.qubits[q];
+            if (info.role == lang::QubitRole::Alloc)
+                continue;
+            std::size_t visited = 0;
+            permutationCheck(index, static_cast<ir::QubitId>(q),
+                             info.scopeBegin, info.scopeEnd,
+                             kDefaultPermutationWindow, &visited);
+            most = std::max(most, visited);
+        }
+        return most;
+    };
+    std::size_t bound_100 = 0, bound_1000 = 0;
+    const std::size_t at_100 = max_visits(100, bound_100);
+    const std::size_t at_1000 = max_visits(1000, bound_1000);
+    EXPECT_GT(at_100, 0u);
+    EXPECT_EQ(at_100, at_1000);
+    EXPECT_LE(at_100, bound_100);
+    EXPECT_LE(at_1000, bound_1000);
 }
 
 // ----------------------------------------------------------- analyzer
@@ -1133,6 +1237,199 @@ TEST(Lint, RenderersCarryRuleAndPosition)
               json.find("\"rule\": \"borrow-not-restored\""));
     EXPECT_NE(std::string::npos, json.find("\"line\": 1"));
     EXPECT_NE(std::string::npos, json.find("\"errors\": 1"));
+}
+
+// ------------------------------------------- lint: pinned output
+
+/**
+ * Random lint input: skip-verified inputs plus borrow, borrow@ and
+ * alloc scopes opened and released at random points between random
+ * X/CNOT/CCNOT/MCX/SWAP gates (and a rare H or Z), with immediate
+ * gate repeats so the redundant-gate scans have pairs to find.
+ * Deterministic in @p seed.
+ */
+std::string
+randomLintQbrSource(std::uint64_t seed)
+{
+    Rng rng(seed);
+    const auto inputs = static_cast<std::uint32_t>(2 + rng.nextBelow(4));
+    std::string src = format("borrow@ in[%u];\n", inputs);
+    std::vector<std::string> live;
+    for (std::uint32_t i = 1; i <= inputs; ++i)
+        live.push_back(format("in[%u]", i));
+    std::vector<std::string> scoped; // opened here, still releasable
+    std::uint32_t next_id = 0;
+    std::string last_gate;
+    const auto steps = 6 + rng.nextBelow(34);
+    for (std::uint64_t step = 0; step < steps; ++step) {
+        const auto roll = rng.nextBelow(100);
+        if (roll < 14 && live.size() < 14) {
+            static const char *const kinds[] = {"borrow", "borrow@",
+                                                "alloc"};
+            const std::string name = format("s%u", next_id++);
+            src += format("%s %s;\n", kinds[rng.nextBelow(3)],
+                          name.c_str());
+            live.push_back(name);
+            scoped.push_back(name);
+            continue;
+        }
+        if (roll < 22 && !scoped.empty()) {
+            const auto k = rng.nextBelow(scoped.size());
+            const std::string name = scoped[k];
+            scoped.erase(scoped.begin() + static_cast<long>(k));
+            live.erase(std::find(live.begin(), live.end(), name));
+            src += "release " + name + ";\n";
+            last_gate.clear();
+            continue;
+        }
+        if (roll < 34 && !last_gate.empty()) {
+            src += last_gate;
+            continue;
+        }
+        std::vector<std::string> ops = live;
+        for (std::size_t i = ops.size(); i > 1; --i)
+            std::swap(ops[i - 1], ops[rng.nextBelow(i)]);
+        const auto kind = rng.nextBelow(100);
+        std::string gate;
+        if (kind < 4) {
+            gate = (kind < 2 ? "H[" : "Z[") + ops[0] + "];\n";
+        } else if (kind < 24 || ops.size() < 2) {
+            gate = "X[" + ops[0] + "];\n";
+        } else if (kind < 56 || ops.size() < 3) {
+            gate = (kind < 46 ? "CNOT[" : "SWAP[") + ops[0] + ", " +
+                   ops[1] + "];\n";
+        } else if (kind < 86 || ops.size() < 4) {
+            gate = "CCNOT[" + ops[0] + ", " + ops[1] + ", " + ops[2] +
+                   "];\n";
+        } else {
+            const auto width =
+                std::min<std::size_t>(ops.size(), 4 + rng.nextBelow(2));
+            gate = "MCX[" + ops[0];
+            for (std::size_t i = 1; i < width; ++i)
+                gate += ", " + ops[i];
+            gate += "];\n";
+        }
+        src += gate;
+        last_gate = gate;
+    }
+    return src;
+}
+
+TEST(Lint, OutputIsPinnedByteForByteOverASeededSet)
+{
+    // One FNV-1a digest over lintToJson of random programs (with and
+    // without alloc scopes), every generator family and the nested-
+    // scope program above, at two permutation windows.  Any change to
+    // a diagnostic's rule, position, message, order or count - or to
+    // the metrics - moves the digest.
+    std::vector<std::pair<std::string, std::string>> programs;
+    for (std::uint64_t seed = 1; seed <= 300; ++seed)
+        programs.emplace_back(format("lint%llu",
+                                     static_cast<unsigned long long>(
+                                         seed)),
+                              randomLintQbrSource(seed));
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        Rng rng(seed);
+        programs.emplace_back(format("random%llu",
+                                     static_cast<unsigned long long>(
+                                         seed)),
+                              circuits::randomQbrSource(rng));
+    }
+    for (const std::uint32_t m : {4u, 5u, 8u, 16u, 40u}) {
+        programs.emplace_back(format("mcx%u", m),
+                              circuits::mcxQbrSource(m));
+        programs.emplace_back(format("binary%u", m),
+                              circuits::binaryHeavyMcxQbrSource(m));
+        programs.emplace_back(format("wide%u", m),
+                              circuits::wideLinearMirrorQbrSource(m));
+        programs.emplace_back(
+            format("widetof%u", m),
+            circuits::wideLinearToffoliMirrorQbrSource(m));
+        programs.emplace_back(format("mirror%u", m),
+                              circuits::mirrorMcxQbrSource(m));
+        programs.emplace_back(format("adder%u", m),
+                              circuits::adderQbrSource(m));
+    }
+    // Lint.NestedScopesBeyondWindowAreCheckedOverTheirOwnSlice.
+    programs.emplace_back(
+        "nested",
+        "borrow a;\nborrow b;\nborrow x[12];\nborrow y[2];\n"
+        "for i = 1 to 12 { CNOT[x[i], a]; CNOT[x[i], b]; }\n"
+        "for i = 1 to 12 { CNOT[x[i], a]; }\n"
+        "release a;\nCCNOT[y[1], y[2], x[1]];\nborrow c;\n"
+        "for i = 1 to 12 { CNOT[x[i], c]; }\nX[c];\n"
+        "CCNOT[y[1], y[2], x[1]];\n"
+        "for i = 1 to 12 { CNOT[x[i], b]; }\n"
+        "release c;\nrelease b;\n");
+
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    std::map<std::string, std::size_t> rules;
+    for (const auto &[name, src] : programs) {
+        for (const unsigned window : {3u, 10u}) {
+            LintOptions options;
+            options.permutationWindow = window;
+            const LintResult r = lintSource(src, options);
+            ASSERT_TRUE(r.elaborated) << name << "\n" << src;
+            for (const Diagnostic &d : r.diagnostics)
+                ++rules[d.rule];
+            for (const char ch : lintToJson(r, name)) {
+                digest ^= static_cast<unsigned char>(ch);
+                digest *= 0x100000001b3ull;
+            }
+        }
+    }
+    // The set exercises every IR rule, so the digest pins each one.
+    for (const char *rule :
+         {"unused-borrow", "redundant-gate", "control-always-constant",
+          "qubit-never-read", "borrow-not-restored"})
+        EXPECT_GT(rules[rule], 0u) << rule;
+    EXPECT_EQ(0x5d383dc3958f33b9ull, digest) << std::hex << digest;
+}
+
+TEST(Lint, QubitNeverReadMatchesTheBackwardTraceReference)
+{
+    // Reference: keep every boundary's liveness (backwardTrace) and
+    // flag an alloc dead at all of [scopeBegin, min(scopeEnd, size)].
+    // Lint's single running sweep must flag exactly the same allocs.
+    std::size_t flagged = 0, kept = 0;
+    for (std::uint64_t seed = 1000; seed < 3000; ++seed) {
+        const std::string src = randomLintQbrSource(seed);
+        const lang::ElaboratedProgram program =
+            lang::elaborateSource(src);
+        LivenessState boundary(program.circuit.numQubits());
+        for (std::size_t q = 0; q < program.qubits.size(); ++q)
+            if (program.qubits[q].role != lang::QubitRole::Alloc)
+                boundary.setLive(static_cast<ir::QubitId>(q));
+        const std::vector<LivenessState> trace =
+            backwardTrace<LivenessDomain>(program.circuit, boundary);
+        std::vector<std::pair<int, int>> expected;
+        for (std::size_t q = 0; q < program.qubits.size(); ++q) {
+            const lang::QubitInfo &info = program.qubits[q];
+            if (info.role != lang::QubitRole::Alloc)
+                continue;
+            const std::size_t last =
+                std::min(info.scopeEnd, program.circuit.size());
+            bool live = false;
+            for (std::size_t i = info.scopeBegin; i <= last; ++i)
+                live = live ||
+                       trace[i].isLive(static_cast<ir::QubitId>(q));
+            if (live) {
+                ++kept;
+            } else {
+                ++flagged;
+                expected.emplace_back(info.loc.line, info.loc.column);
+            }
+        }
+        std::sort(expected.begin(), expected.end());
+        std::vector<std::pair<int, int>> actual;
+        for (const Diagnostic &d : lintSource(src).diagnostics)
+            if (d.rule == "qubit-never-read")
+                actual.emplace_back(d.loc.line, d.loc.column);
+        EXPECT_EQ(expected, actual) << "seed " << seed << "\n" << src;
+    }
+    // Both outcomes occur, so the comparison is not vacuous.
+    EXPECT_GT(flagged, 0u);
+    EXPECT_GT(kept, 0u);
 }
 
 // --------------------------------------------- serving fingerprint

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "ir/circuit.h"
+#include "ir/circuit_index.h"
 #include "support/logging.h"
 
 namespace qb::ir {
@@ -211,6 +212,45 @@ TEST(Circuit, EqualityComparesGatesAndWidth)
     EXPECT_FALSE(a == c);
     b.append(Gate::x(1));
     EXPECT_FALSE(a == b);
+}
+
+TEST(CircuitIndex, TouchListsAreAscendingPerWire)
+{
+    Circuit c(4);
+    c.append(Gate::x(0));           // 0
+    c.append(Gate::cnot(1, 2));     // 1
+    c.append(Gate::ccnot(0, 2, 1)); // 2
+    c.append(Gate::swap(2, 0));     // 3
+    const CircuitIndex index(c);
+    const auto list = [&](QubitId q) {
+        const auto span = index.touches(q);
+        return std::vector<std::size_t>(span.begin(), span.end());
+    };
+    EXPECT_EQ((std::vector<std::size_t>{0, 2, 3}), list(0));
+    EXPECT_EQ((std::vector<std::size_t>{1, 2}), list(1));
+    EXPECT_EQ((std::vector<std::size_t>{1, 2, 3}), list(2));
+    EXPECT_TRUE(list(3).empty()); // idle wire
+    EXPECT_EQ(&c, &index.circuit());
+}
+
+TEST(CircuitIndex, NextTouchAgreesWithAScan)
+{
+    Circuit c(3);
+    c.append(Gate::x(0));       // 0
+    c.append(Gate::cnot(1, 2)); // 1
+    c.append(Gate::x(1));       // 2
+    c.append(Gate::x(0));       // 3
+    const CircuitIndex index(c);
+    for (QubitId q = 0; q < c.numQubits(); ++q)
+        for (std::size_t from = 0; from <= c.size() + 1; ++from) {
+            std::size_t scan = from;
+            while (scan < c.size() && !c.gates()[scan].touches(q))
+                ++scan;
+            EXPECT_EQ(std::min(scan, c.size()),
+                      index.nextTouch(q, from))
+                << q << " " << from;
+        }
+    EXPECT_DEATH(index.touches(3), "out of range");
 }
 
 } // namespace

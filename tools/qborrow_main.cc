@@ -41,6 +41,7 @@
 #include "core/report.h"
 #include "core/verifier.h"
 #include "lang/elaborate.h"
+#include "lang/parser.h"
 #include "server/protocol.h"
 #include "server/server.h"
 #include "support/logging.h"
@@ -78,7 +79,8 @@ usage(const char *argv0)
         "                    (default) or its one pass 'affine',\n"
         "                    or 'off' for SAT-only\n"
         "  --analysis-window N   qubit-window bound of lint's\n"
-        "                    permutation check (default 10)\n"
+        "                    permutation check (default 10, capped\n"
+        "                    at 20: larger values act as 20)\n"
         "  --json            emit a machine-readable JSON report\n"
         "  --quiet           only print the summary line\n"
         "  --dump-circuit    print the elaborated gate list\n"
@@ -141,6 +143,22 @@ readFile(const std::string &path)
     std::ostringstream out;
     out << in.rdbuf();
     return out.str();
+}
+
+/** Strict non-negative decimal: digits only, nothing trailing, no
+ *  overflow.  Rejects what std::atol would silently read as 0. */
+bool
+parseDecimal(const char *text, long &out)
+{
+    if (*text < '0' || *text > '9')
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    const long value = std::strtol(text, &end, 10);
+    if (errno == ERANGE || *end != '\0')
+        return false;
+    out = value;
+    return true;
 }
 
 /** Everything the flag parser can express, for all three modes. */
@@ -277,15 +295,35 @@ runLocal(const CliOptions &cli)
     const qb::core::EngineOptions options = engineOptionsFor(cli);
     const std::string source = readFile(cli.path);
     // Lint-before-verify (opt out with --no-lint): diagnostics go to
-    // stderr so stdout stays the verification report.
-    if (!cli.noLint && !cli.quiet && !cli.json) {
-        const auto lint =
-            qb::analysis::lintSource(source, lintOptionsFor(cli));
-        for (const auto &d : lint.diagnostics)
+    // stderr so stdout stays the verification report.  Lint and
+    // verification share one parse and one elaboration.
+    const bool lint = !cli.noLint && !cli.quiet && !cli.json;
+    const qb::lang::Program ast = qb::lang::parse(source);
+    qb::analysis::LintResult lint_result;
+    const auto print_lint = [&] {
+        qb::analysis::sortDiagnostics(lint_result.diagnostics);
+        for (const auto &d : lint_result.diagnostics)
             std::fprintf(stderr, "%s:%s\n", cli.path.c_str(),
                          d.toString().c_str());
+    };
+    if (lint)
+        qb::analysis::lintAst(ast, lint_result.diagnostics);
+    const qb::lang::ElaboratedProgram program = [&] {
+        try {
+            return qb::lang::elaborate(ast);
+        } catch (const qb::FatalError &) {
+            // The AST rules still report before the elaboration
+            // error ends the run.
+            if (lint)
+                print_lint();
+            throw;
+        }
+    }();
+    if (lint) {
+        qb::analysis::lintElaborated(program, lintOptionsFor(cli),
+                                     lint_result);
+        print_lint();
     }
-    const auto program = qb::lang::elaborateSource(source);
     if (cli.dump)
         std::printf("%s", program.circuit.toString().c_str());
     if (!cli.quiet && !cli.json) {
@@ -717,8 +755,7 @@ run(int argc, char **argv)
         } else if (arg == "--analysis" && i + 1 < argc) {
             cli.analysisSpec = argv[++i];
         } else if (arg == "--analysis-window" && i + 1 < argc) {
-            cli.analysisWindow = std::atol(argv[++i]);
-            if (cli.analysisWindow < 0) {
+            if (!parseDecimal(argv[++i], cli.analysisWindow)) {
                 usage(argv[0]);
                 return 2;
             }

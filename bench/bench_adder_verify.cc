@@ -18,7 +18,8 @@
  *     coincide), discharging every condition through assumption-based
  *     incremental SAT on one solver per lane (lane B's preprocessing
  *     preset discharges per-condition, see EngineOptions::lanes).
- * Portfolio additionally races both lanes per query.
+ * Portfolio runs both lanes and sends each condition to the one
+ * chosen from its cone (EngineOptions::lanes).
  *
  * Reference numbers (1-core container, n = 100): OneShot A 2.55 s /
  * B 0.95 s; Engine A 3.45 s / B 0.81 s.  Lane B wins this family by
@@ -26,7 +27,7 @@
  * one-shot on the winning lane; on lane A the adder's per-qubit
  * conditions share too little structure for clause reuse to offset
  * the larger shared solver, which is exactly the trade-off the
- * portfolio mode exists to cover.
+ * portfolio's per-condition lane choice exists to cover.
  *
  * Paper reference (MacBook Air M3): CVC5 4/24/71/171/365/751/1069 s,
  * Bitwuzla 3/12/29/98/158/248/313 s for n = 50..200.  Absolute times
@@ -56,9 +57,17 @@
  * hot path itself: binary propagation decided without arena reads
  * plus learn-time antecedent strengthening.
  *
- * Adaptive race order is now the only order (it won on every
- * adder_race seed of the qbbench workload), so the Portfolio variant
- * is the adaptive one and the separate Adaptive variant is gone.
+ * Adaptive race order later became the only order, and the separate
+ * Adaptive variant went.
+ *
+ * One lane per condition instead of a race: the portfolio reads each
+ * condition's XOR:AND node ratio and sends adder cones (about one XOR
+ * per AND) to lane B alone, so nothing is sliced or raced.  On a
+ * 4-vCPU Xeon host, AdderVerifyEnginePortfolio before -> after, with
+ * AdderVerifyEngineLaneB alongside: n = 50: 0.103 s -> 0.084 s
+ * (0.083 s), n = 100: 0.420 s -> 0.349 s (0.341 s), n = 200: 2.51 s
+ * -> 1.88 s (1.99 s).  CI bench-smoke fails if Portfolio/100 takes
+ * more than 1.25x LaneB/100.
  */
 
 #include <benchmark/benchmark.h>

@@ -85,6 +85,14 @@
  * the formula scan and the encoding, not construction.  CI bench-smoke
  * runs EngineLaneA/9999 and fails if its build_s reaches 1 s.
  *
+ * One lane per condition instead of a race: MCX cones carry one XOR
+ * per two ANDs, so the portfolio sends them to lane A alone.  On a
+ * 4-vCPU Xeon host, McxVerifyEnginePortfolio before -> after, with
+ * McxVerifyEngineLaneA alongside: n = 499: 0.025 s -> 0.012 s
+ * (0.016 s), n = 1999: 0.144 s -> 0.044 s (0.056 s), n = 3499:
+ * 0.200 s -> 0.086 s (0.109 s), single iterations.  CI bench-smoke
+ * fails if Portfolio/3499 takes more than 1.25x LaneA/3499.
+ *
  * Lint over one per-wire gate index (ir::CircuitIndex): LintMcx and
  * LintWideLinear time lintSource() - parse, elaborate and every lint
  * rule - on mcx.qbr and the wide linear mirror.  borrow-not-restored
@@ -293,9 +301,9 @@ McxVerifyEngineBinaryHeavy(benchmark::State &state)
     // the preprocessing lane, whose per-condition scratch solver runs
     // the root binary-graph pass on every solve: CI bench-smoke
     // asserts scc_merged_vars >= 1 and transitive_reduced >= 1 here.
-    // Lane B rather than the portfolio on purpose - in a race the
-    // scratch lane is cancelled whenever lane A answers first, which
-    // would make the counters depend on worker-pool timing.
+    // Lane B rather than the portfolio on purpose: the portfolio sends
+    // this AND-dense cone to lane A, whose persistent solver runs the
+    // graph passes only at inprocessing boundaries.
     runMcxVerify(state,
                  qb::core::EngineOptions::singleLane(
                      qb::core::VerifierOptions::laneB()),

@@ -7,7 +7,7 @@
  * ServingTier over one process-wide scheduler:
  *
  *   - ServeCold: result cache disabled - every request pays parse,
- *     elaboration, session construction and the full SAT race (the
+ *     elaboration, session construction and the full SAT solve (the
  *     daemon minus socket I/O);
  *   - ServeResultHit: result cache on - repeats replay the memoized
  *     verdict and never touch the pool.

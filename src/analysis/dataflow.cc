@@ -356,27 +356,27 @@ affineTopWires(std::span<const ir::Gate> gates, std::uint32_t num_qubits)
     return top;
 }
 
-bool
-writesWire(const ir::Circuit &circuit, ir::QubitId q)
+std::vector<bool>
+writtenWires(const ir::Circuit &circuit)
 {
+    std::vector<bool> written(circuit.numQubits(), false);
     for (const ir::Gate &gate : circuit.gates()) {
         switch (gate.kind()) {
           case ir::GateKind::X:
           case ir::GateKind::CNOT:
           case ir::GateKind::CCNOT:
           case ir::GateKind::MCX:
-            if (gate.target() == q)
-                return true;
+            written[gate.target()] = true;
             break;
           case ir::GateKind::Swap:
-            if (gate.touches(q))
-                return true;
+            for (const ir::QubitId q : gate.qubits())
+                written[q] = true;
             break;
           default:
             break;
         }
     }
-    return false;
+    return written;
 }
 
 } // namespace qb::analysis

@@ -380,12 +380,13 @@ std::vector<bool> affineTopWires(std::span<const ir::Gate> gates,
                                  std::uint32_t num_qubits);
 
 /**
- * Does some gate of @p circuit WRITE wire @p q (X-family target or
- * Swap operand)?  Unwritten wires trivially satisfy b_q = q; the
- * engine uses this to skip the affine consult where constant folding
- * already wins in O(1).
+ * Per wire of @p circuit: does some gate WRITE it (X-family target or
+ * Swap operand)?  One O(gates) pass.  Unwritten wires trivially
+ * satisfy b_q = q; the engine computes this once per session and uses
+ * it to skip the affine consult where constant folding already wins
+ * in O(1).
  */
-bool writesWire(const ir::Circuit &circuit, ir::QubitId q);
+std::vector<bool> writtenWires(const ir::Circuit &circuit);
 
 } // namespace qb::analysis
 

@@ -204,9 +204,10 @@ Arena::intern(NodeKind node_kind, std::uint32_t var,
     return ref;
 }
 
-std::size_t
-Arena::dagSize(NodeRef root) const
+DagShape
+Arena::dagShape(NodeRef root) const
 {
+    DagShape shape;
     std::unordered_set<NodeRef> seen;
     std::vector<NodeRef> stack{root};
     while (!stack.empty()) {
@@ -216,11 +217,13 @@ Arena::dagSize(NodeRef root) const
             continue;
         const Node &n = nodes[ref];
         if (n.kind == NodeKind::And || n.kind == NodeKind::Xor) {
+            ++(n.kind == NodeKind::And ? shape.ands : shape.xors);
             for (NodeRef c : children(ref))
                 stack.push_back(c);
         }
     }
-    return seen.size();
+    shape.nodes = seen.size();
+    return shape;
 }
 
 std::vector<std::uint32_t>

@@ -45,6 +45,14 @@ enum class NodeKind : std::uint8_t {
     Xor,   ///< n-ary exclusive or (>= 2 canonical children)
 };
 
+/** Node counts of the DAG reachable from one root. */
+struct DagShape
+{
+    std::size_t nodes = 0; ///< distinct nodes, leaves included
+    std::size_t ands = 0;  ///< And nodes
+    std::size_t xors = 0;  ///< Xor nodes (a NOT is an Xor with TRUE)
+};
+
 /**
  * Rewrite memo for Arena::substitute(): one slot per NodeRef (arena ids
  * are dense), stamped with an epoch so reset() forgets every entry in
@@ -90,7 +98,7 @@ class SubstituteMemo
  *
  * Concurrency: construction (the mk functions, substitute, intern) is
  * single-writer - only one thread may grow an arena.  The structural readers (kind(),
- * children(), varId(), constValue(), evaluate(), dagSize()...) may run
+ * children(), varId(), constValue(), evaluate(), dagShape()...) may run
  * concurrently on OTHER threads for any node whose ref was handed to
  * them through a synchronizing channel, while the writer keeps
  * interning new nodes: node and child storage is chunked and never
@@ -129,8 +137,8 @@ class Arena
     std::span<const NodeRef> children(NodeRef ref) const;
     /** Total number of distinct nodes allocated in the arena. */
     std::size_t numNodes() const { return nodes.size(); }
-    /** Number of distinct nodes reachable from @p root. */
-    std::size_t dagSize(NodeRef root) const;
+    /** Distinct nodes reachable from @p root, in all and by kind. */
+    DagShape dagShape(NodeRef root) const;
     /** Collect the ids of variables occurring under @p root (sorted). */
     std::vector<std::uint32_t> supportSet(NodeRef root) const;
     /** @} */

@@ -17,7 +17,6 @@ EngineOptions::singleLane(const VerifierOptions &options)
 {
     EngineOptions o;
     o.lanes = {options};
-    o.portfolio = false;
     return o;
 }
 
@@ -26,7 +25,6 @@ EngineOptions::portfolioAB()
 {
     EngineOptions o;
     o.lanes = {VerifierOptions::laneA(), VerifierOptions::laneB()};
-    o.portfolio = true;
     return o;
 }
 
@@ -47,26 +45,6 @@ incrementalConfig(const VerifierOptions &options, bool binary_analysis)
     cfg.conflictBudget = options.conflictBudget;
     cfg.binaryAnalysis = cfg.binaryAnalysis && binary_analysis;
     return cfg;
-}
-
-/**
- * Identity of a lane FAMILY for the race-order win-rate table: the
- * fields that distinguish the lane presets (encoder configuration
- * plus the solving-strategy knobs).  Two lanes with equal keys play
- * the same role in any portfolio, so their wins pool - across
- * sessions of a program, and across requests in server mode, since
- * the table lives on the shared Scheduler.
- */
-std::string
-laneFamilyKey(const VerifierOptions &options)
-{
-    const sat::SolverConfig &s = options.solver;
-    return qb::format(
-        "e%d.x%u.pre%d.luby%d.rb%lld.vd%d.ph%d",
-        static_cast<int>(options.encoding), options.xorChunk,
-        s.preprocess ? 1 : 0, s.lubyRestarts ? 1 : 0,
-        static_cast<long long>(s.restartBase),
-        static_cast<int>(s.varDecay * 1000), s.initialPhaseTrue);
 }
 
 /** Satisfying input assignment (by qubit id) from a solver model. */
@@ -125,25 +103,23 @@ struct VerificationEngine::Lane
     /** Queries since the last inprocessing pass (owned by the lane's
      *  serial task chain; see EngineOptions::inprocessInterval). */
     unsigned queriesSinceInprocess = 0;
-    /** Win-rate table key of this lane's preset family (race
-     *  order; see EngineOptions::portfolio). */
-    std::string familyKey;
 
     Lane(int idx, const VerifierOptions &opts, const bexp::Arena &arena,
          Scheduler &sched, unsigned band, bool binary_analysis)
         : index(idx), options(opts),
           solver(incrementalConfig(opts, binary_analysis)),
           encoder(arena, solver, opts.encoding, opts.xorChunk),
-          scratch(opts.solver.preprocess),
-          familyKey(laneFamilyKey(opts))
+          scratch(opts.solver.preprocess)
     {
         if (!scratch)
             queue = sched.makeQueue(band);
         // Scratch lanes build their per-condition solvers straight
         // from the stored preset, bypassing incrementalConfig(): the
-        // engine-level binary-analysis switch must reach them here.
+        // engine-level binary-analysis switch and the lane's conflict
+        // budget must reach them here.
         options.solver.binaryAnalysis =
             options.solver.binaryAnalysis && binary_analysis;
+        options.solver.conflictBudget = opts.conflictBudget;
     }
 };
 
@@ -153,6 +129,9 @@ struct VerificationEngine::Conditions
     bexp::NodeRef zero = bexp::kFalse;
     bexp::NodeRef plus = bexp::kFalse;
     std::size_t nodes = 0;
+    /** Lane each condition goes to (laneFor() of its cone). */
+    std::size_t zeroLane = 0;
+    std::size_t plusLane = 0;
     /** @name Affine pre-build discharges (UNSAT-only): the stored
      *  formula is a kFalse placeholder that was never built, so it
      *  must not be read as a structural constant. @{ */
@@ -176,44 +155,21 @@ struct VerificationEngine::LaneOutcome
 };
 
 /**
- * One condition raced across the configured lanes: the (qubit,
- * condition) work item of the scheduler.  Workers fill outcomes[] and
- * flip stop on the first definitive answer; the producing thread
- * blocks in collectRace() only when it actually needs the verdict.
- *
- * Racing lanes solve in conflict SLICES (sliceBudget, growing
- * geometrically) and requeue themselves while inconclusive.  With at
- * least as many workers as lanes a slice boundary is just a cheap
- * extra restart; with fewer workers - the interesting case on small
- * machines - slicing is what emulates preemptive racing: no lane can
- * hog a worker for a whole (possibly losing) solve while a faster
- * lane's answer waits in the queue.  The per-lane accumulator fields
- * are owned by that lane's task chain (each continuation is submitted
- * only after its predecessor ran, so the chain is ordered even on the
- * unordered pool).
+ * One condition on its chosen lane: the (qubit, condition) work item
+ * of the scheduler.  The lane's task fills outcome and sets finished;
+ * the producing thread blocks in collectQuery() only when it actually
+ * needs the verdict.
  */
-struct VerificationEngine::Race
+struct VerificationEngine::Query
 {
     bexp::NodeRef condition = bexp::kFalse;
-    /** First-finisher cancellation flag; doubles as the solver stop
-     *  flag of every racing lane. */
+    /** Cancellation flag; doubles as the lane solver's stop flag. */
     std::atomic<bool> stop{false};
     std::mutex mutex;
     std::condition_variable done;
-    std::vector<LaneOutcome> outcomes; ///< indexed by lane
-    std::size_t pending = 0;           ///< lanes still to report
-
-    /** @name Per-lane slice state (owned by the lane's task chain). @{ */
-    std::vector<LaneOutcome> partial;        ///< accumulates slices
-    std::vector<std::int64_t> sliceBudget;   ///< next slice, conflicts
-    std::vector<std::int64_t> budgetLeft;    ///< user budget remaining
-    /** Scratch lanes keep their per-condition solver across slices. */
-    std::vector<std::unique_ptr<sat::Solver>> scratchSolver;
-    /** @} */
+    bool finished = false; ///< guarded by mutex
+    LaneOutcome outcome;   ///< written before finished is set
 };
-
-/** First racing slice, in conflicts; slices grow 4x per round. */
-constexpr std::int64_t kInitialSlice = 128;
 
 VerificationEngine::Pending::Pending() = default;
 VerificationEngine::Pending::Pending(Pending &&) noexcept = default;
@@ -222,8 +178,9 @@ VerificationEngine::Pending::operator=(Pending &&) noexcept = default;
 
 VerificationEngine::Pending::~Pending()
 {
-    // An unredeemed handle cancels its races; the engine's destruction
-    // fence keeps the lanes alive until the cancelled tasks drain.
+    // An unredeemed handle cancels its queries; the engine's
+    // destruction fence keeps the lanes alive until the cancelled
+    // tasks drain.
     VerificationEngine::abandon(zero);
     VerificationEngine::abandon(plus);
 }
@@ -239,23 +196,24 @@ VerificationEngine::VerificationEngine(
         options_.lanes = {VerifierOptions::laneA()};
     if (!scheduler_) {
         // Auto-sizing (jobs == 0) caps the private pool at what this
-        // session can actually keep busy - racing lanes in portfolio
-        // mode, one worker otherwise - so the one-shot wrappers do not
-        // spin up (and join) a machine-wide pool per single query.  An
-        // explicit jobs count is honored verbatim, and batch drivers
-        // inject one full-width shared scheduler instead.
+        // session can actually keep busy - one worker per lane - so
+        // the one-shot wrappers do not spin up (and join) a
+        // machine-wide pool per single query.  An explicit jobs count
+        // is honored verbatim, and batch drivers inject one
+        // full-width shared scheduler instead.
         unsigned jobs = options_.jobs;
         if (jobs == 0) {
             jobs = std::thread::hardware_concurrency();
             if (jobs == 0)
                 jobs = 1;
-            const auto need = static_cast<unsigned>(
-                options_.portfolio ? options_.lanes.size() : 1);
-            jobs = std::min(jobs, std::max(1u, need));
+            jobs = std::min(
+                jobs, static_cast<unsigned>(options_.lanes.size()));
         }
         scheduler_ = std::make_shared<Scheduler>(jobs);
     }
     classical = circuit_.isClassical();
+    if (options_.analysis.affine && classical)
+        written_ = analysis::writtenWires(circuit_);
     const std::uint32_t n = circuit_.numQubits();
     conditionCache.resize(n);
     cleanCache.assign(n, std::nullopt);
@@ -272,7 +230,6 @@ VerificationEngine::VerificationEngine(
         if (cancel_->cancelRequested())
             cancelled_.store(true, std::memory_order_release);
     }
-
 }
 
 VerificationEngine::~VerificationEngine()
@@ -283,9 +240,9 @@ VerificationEngine::~VerificationEngine()
         cancel_->detach(this);
     {
         const std::lock_guard<std::mutex> guard(fenceMutex);
-        for (const std::weak_ptr<Race> &weak : liveRaces)
-            if (const std::shared_ptr<Race> race = weak.lock())
-                race->stop.store(true, std::memory_order_release);
+        for (const std::weak_ptr<Query> &weak : liveQueries)
+            if (const std::shared_ptr<Query> query = weak.lock())
+                query->stop.store(true, std::memory_order_release);
     }
     waitIdle();
 }
@@ -295,9 +252,9 @@ VerificationEngine::cancelNow()
 {
     cancelled_.store(true, std::memory_order_release);
     const std::lock_guard<std::mutex> guard(fenceMutex);
-    for (const std::weak_ptr<Race> &weak : liveRaces)
-        if (const std::shared_ptr<Race> race = weak.lock())
-            race->stop.store(true, std::memory_order_release);
+    for (const std::weak_ptr<Query> &weak : liveQueries)
+        if (const std::shared_ptr<Query> query = weak.lock())
+            query->stop.store(true, std::memory_order_release);
 }
 
 void
@@ -331,12 +288,10 @@ VerificationEngine::aggregateSolverStats()
 }
 
 void
-VerificationEngine::harvestScratchStats(const sat::Solver *solver)
+VerificationEngine::harvestScratchStats(const sat::Solver &solver)
 {
-    if (!solver)
-        return;
     const std::lock_guard<std::mutex> guard(scratchStatsMutex);
-    scratchTotals_.accumulate(solver->stats());
+    scratchTotals_.accumulate(solver.stats());
 }
 
 /** Static-discharge counters of @p stats as report-ready totals. */
@@ -354,11 +309,11 @@ void
 VerificationEngine::ensureFinals()
 {
     // All or nothing: the first reader scans the whole circuit.  Only
-    // the arena-writer thread calls this, and no race can exist before
-    // it runs (every race encodes a formula built from finals), so
-    // the scan interns exactly the nodes, in exactly the order, that
-    // an eager scan in the constructor would - same NodeRefs, same
-    // CNF, same counterexamples.
+    // the arena-writer thread calls this, and no query can exist
+    // before it runs (every query encodes a formula built from
+    // finals), so the scan interns exactly the nodes, in exactly the
+    // order, that an eager scan in the constructor would - same
+    // NodeRefs, same CNF, same counterexamples.
     if (engineStats.formulaScans != 0)
         return;
     ++engineStats.formulaScans;
@@ -397,8 +352,7 @@ VerificationEngine::conditionsFor(ir::QubitId q)
     // exact ⊤ gate itself: where q and another wire are both ⊤ it
     // answers without the dense sweep.
     analysis::AffineFacts affine;
-    if (options_.analysis.affine && classical &&
-        analysis::writesWire(circuit_, q)) {
+    if (options_.analysis.affine && classical && written_[q]) {
         if (!analyzer_)
             analyzer_ = std::make_unique<analysis::Analyzer>(
                 circuit_, options_.analysis);
@@ -448,88 +402,68 @@ VerificationEngine::conditionsFor(ir::QubitId q)
             zeroCofactor_.visits() + oneCofactor_.visits();
         conds->plus = arena.mkOr(std::move(disjuncts));
     }
-    conds->nodes =
-        arena.dagSize(conds->zero) + arena.dagSize(conds->plus);
+    const bexp::DagShape zero_cone = arena.dagShape(conds->zero);
+    const bexp::DagShape plus_cone = arena.dagShape(conds->plus);
+    conds->nodes = zero_cone.nodes + plus_cone.nodes;
+    conds->zeroLane = laneFor(zero_cone);
+    conds->plusLane = laneFor(plus_cone);
     conditionCache[q] = std::move(conds);
     return *conditionCache[q];
 }
 
 void
-VerificationEngine::abandon(const std::shared_ptr<Race> &race)
+VerificationEngine::abandon(const std::shared_ptr<Query> &query)
 {
-    if (race)
-        race->stop.store(true, std::memory_order_release);
+    if (query)
+        query->stop.store(true, std::memory_order_release);
 }
 
-std::shared_ptr<VerificationEngine::Race>
-VerificationEngine::submitRace(bexp::NodeRef condition)
+std::size_t
+VerificationEngine::laneFor(const bexp::DagShape &cone) const
 {
-    auto race = std::make_shared<Race>();
-    race->condition = condition;
-    const std::size_t racers =
-        options_.portfolio ? lanes_.size() : 1;
-    race->outcomes.resize(lanes_.size());
-    race->partial.resize(lanes_.size());
-    race->sliceBudget.assign(lanes_.size(), kInitialSlice);
-    race->budgetLeft.resize(lanes_.size());
-    race->scratchSolver.resize(lanes_.size());
-    for (std::size_t i = 0; i < lanes_.size(); ++i)
-        race->budgetLeft[i] = lanes_[i]->options.conflictBudget;
-    race->pending = racers;
-    engineStats.satCalls += racers;
+    // XOR-dense cones go to the preprocessing lane, the rest to the
+    // persistent one.  Adder conditions carry about one XOR per AND,
+    // and bounded variable elimination on a per-condition solver is
+    // the whole of their speed-up; MCX ladders carry one XOR per two
+    // ANDs, and a per-condition solver's set-up is the whole of their
+    // loss.  Sizes overlap between the families, so size cannot
+    // decide.  A session without a lane of the wanted kind uses
+    // lane 0.
+    const bool xor_dense = 4 * cone.xors >= 3 * cone.ands;
+    for (const std::unique_ptr<Lane> &lane : lanes_)
+        if (lane->scratch == xor_dense)
+            return static_cast<std::size_t>(lane->index);
+    return 0;
+}
+
+std::shared_ptr<VerificationEngine::Query>
+VerificationEngine::submitQuery(bexp::NodeRef condition,
+                                std::size_t lane_index)
+{
+    auto query = std::make_shared<Query>();
+    query->condition = condition;
+    ++engineStats.satCalls;
     {
         const std::lock_guard<std::mutex> guard(fenceMutex);
         // A cancel that fired while this qubit's conditions were
-        // being built has already swept liveRaces; seed the new
-        // race's stop flag here, under the same mutex, so it cannot
+        // being built has already swept liveQueries; seed the new
+        // query's stop flag here, under the same mutex, so it cannot
         // slip through the sweep and run to completion.
         if (cancelled_.load(std::memory_order_acquire))
-            race->stop.store(true, std::memory_order_release);
-        if (liveRaces.size() >= 64) {
-            std::erase_if(liveRaces,
-                          [](const std::weak_ptr<Race> &weak) {
+            query->stop.store(true, std::memory_order_release);
+        if (liveQueries.size() >= 64) {
+            std::erase_if(liveQueries,
+                          [](const std::weak_ptr<Query> &weak) {
                               return weak.expired();
                           });
         }
-        liveRaces.push_back(race);
-    }
-    // Race order: submit the first slices in descending family win
-    // rate, so with fewer workers than lanes the probable winner's
-    // slice is popped first.  Ties fall back to index order; verdicts
-    // are unaffected either way (collectRace picks the winner by
-    // index, counterexamples come from the replay solve).
-    std::vector<std::size_t> order(racers);
-    for (std::size_t i = 0; i < racers; ++i)
-        order[i] = i;
-    if (racers > 1) {
-        std::vector<double> score(racers);
-        for (std::size_t i = 0; i < racers; ++i)
-            score[i] = scheduler_->laneWinRate(lanes_[i]->familyKey);
-        std::stable_sort(order.begin(), order.end(),
-                         [&score](std::size_t a, std::size_t b) {
-                             return score[a] > score[b];
-                         });
-    }
-    for (const std::size_t i : order)
-        submitLaneTask(race, i);
-    return race;
-}
-
-void
-VerificationEngine::submitLaneTask(const std::shared_ptr<Race> &race,
-                                   std::size_t lane_index,
-                                   bool continuation)
-{
-    Lane &lane = *lanes_[lane_index];
-    {
-        const std::lock_guard<std::mutex> guard(fenceMutex);
+        liveQueries.push_back(query);
         ++tasksInFlight;
     }
-    auto task = [this, &lane, race] {
-        if (lane.scratch)
-            runScratchTask(lane, race);
-        else
-            runPersistentTask(lane, race);
+    Lane &lane = *lanes_[lane_index];
+    auto task = [this, &lane, query] {
+        reportOutcome(*query, lane.scratch ? runScratchTask(lane, *query)
+                                           : runPersistentTask(lane, *query));
         // Notify UNDER the mutex: waitIdle()'s waiter may destroy the
         // engine (and this condition variable) the instant the count
         // hits zero, so the notify must complete before the lock is
@@ -538,280 +472,130 @@ VerificationEngine::submitLaneTask(const std::shared_ptr<Race> &race,
         --tasksInFlight;
         fenceIdle.notify_all();
     };
-    // Requeue priority: when the slice that just yielded
-    // belongs to the current FAVORITE family (best win rate), its
-    // continuation goes to the FRONT of the fairness band, so the
-    // probable winner keeps its head start across slice boundaries of
-    // long races instead of only at the first slice.  Verdicts are
-    // unaffected for the same reason first-slice reordering is safe:
-    // collectRace picks winners by lane index and counterexamples
-    // come from the replay solve.
-    bool front = false;
-    if (continuation && options_.portfolio && lanes_.size() > 1) {
-        const double mine = scheduler_->laneWinRate(lane.familyKey);
-        front = true;
-        for (const auto &other : lanes_) {
-            if (other.get() != &lane &&
-                scheduler_->laneWinRate(other->familyKey) > mine) {
-                front = false;
-                break;
-            }
-        }
-    }
     if (lane.scratch)
-        scheduler_->submit(options_.fairnessBand, std::move(task),
-                           front);
+        scheduler_->submit(options_.fairnessBand, std::move(task));
     else
-        scheduler_->submit(lane.queue, std::move(task), front);
+        scheduler_->submit(lane.queue, std::move(task));
+    return query;
 }
 
-/**
- * Conflict budget for the next slice of @p race on lane @p i, honoring
- * the lane's remaining user budget.  Single-lane (non-racing)
- * decisions do not slice: there is no competitor to yield to.
- */
-std::int64_t
-VerificationEngine::sliceBudgetFor(const Race &race, std::size_t i,
-                                   bool racing) const
+VerificationEngine::LaneOutcome
+VerificationEngine::runPersistentTask(Lane &lane, Query &query)
 {
-    if (!racing)
-        return race.budgetLeft[i];
-    std::int64_t budget = race.sliceBudget[i];
-    if (race.budgetLeft[i] >= 0 && race.budgetLeft[i] < budget)
-        budget = race.budgetLeft[i];
-    return budget;
-}
-
-/** Post-slice bookkeeping shared by both lane kinds: returns true when
- *  the lane should yield and requeue for another slice. */
-bool
-VerificationEngine::continueSlicing(Race &race, std::size_t i,
-                                    bool racing,
-                                    sat::SolveResult result,
-                                    std::int64_t used)
-{
-    if (race.budgetLeft[i] >= 0)
-        race.budgetLeft[i] = std::max<std::int64_t>(
-            0, race.budgetLeft[i] - used);
-    if (result != sat::SolveResult::Unknown || !racing)
-        return false;
-    if (race.stop.load(std::memory_order_acquire))
-        return false; // cancelled, not inconclusive
-    if (race.budgetLeft[i] == 0)
-        return false; // user budget exhausted: Unknown is final
-    race.sliceBudget[i] *= 4;
-    return true;
-}
-
-void
-VerificationEngine::runPersistentTask(
-    Lane &lane, const std::shared_ptr<Race> &race)
-{
-    const std::size_t i = static_cast<std::size_t>(lane.index);
-    const bool racing = options_.portfolio && lanes_.size() > 1;
-    LaneOutcome &acc = race->partial[i];
-    sat::IncrementalTseitin::Selector sel;
-    if (acc.lane < 0) {
-        // First slice: encode the condition, unless the race is
-        // already decided.
-        acc.lane = lane.index;
-        if (race->stop.load(std::memory_order_acquire)) {
-            reportOutcome(*race, lane.index, std::move(acc));
-            return;
-        }
-        Timer encode_timer;
-        const std::size_t vars_before = lane.encoder.varsCreated();
-        const std::size_t clauses_before =
-            lane.encoder.clausesEmitted();
-        sel = lane.encoder.assertCondition(race->condition);
-        acc.encodeSeconds = encode_timer.seconds();
-        acc.vars = lane.encoder.varsCreated() - vars_before;
-        acc.clauses = lane.encoder.clausesEmitted() - clauses_before;
-        // Constant conditions resolve at prepare time, upstream.
-        qbAssert(!sel.rootIsConst,
-                 "constant conditions decide upstream");
-        // Epoch-style retention BETWEEN queries (first slice only -
-        // later slices of the same condition keep everything): carry
-        // over only the high-value (low-LBD) conflict clauses.  They
-        // are what makes repeated or structurally-related queries
-        // cheap, while the bulk of the learnt database would tax
-        // every propagation.
-        lane.solver.shrinkLearnts(3);
-        // Slice-boundary inprocessing: every inprocessInterval-th
-        // query, vivify and subsume what the shrink kept, then let
-        // the arena GC compact.  Serialized with all other solver
-        // access by the lane's serial queue.
-        if (options_.inprocessInterval != 0 &&
-            ++lane.queriesSinceInprocess >=
-                options_.inprocessInterval) {
-            lane.queriesSinceInprocess = 0;
-            lane.solver.inprocess();
-        }
-    } else {
-        sel = lane.encoder.assertCondition(race->condition); // cached
+    LaneOutcome out;
+    out.lane = lane.index;
+    if (query.stop.load(std::memory_order_acquire))
+        return out;
+    Timer encode_timer;
+    const std::size_t vars_before = lane.encoder.varsCreated();
+    const std::size_t clauses_before = lane.encoder.clausesEmitted();
+    const sat::IncrementalTseitin::Selector sel =
+        lane.encoder.assertCondition(query.condition);
+    out.encodeSeconds = encode_timer.seconds();
+    out.vars = lane.encoder.varsCreated() - vars_before;
+    out.clauses = lane.encoder.clausesEmitted() - clauses_before;
+    // Constant conditions resolve at prepare time, upstream.
+    qbAssert(!sel.rootIsConst, "constant conditions decide upstream");
+    // Epoch-style retention BETWEEN queries: carry over only the
+    // high-value (low-LBD) conflict clauses.  They are what makes
+    // repeated or structurally-related queries cheap, while the bulk
+    // of the learnt database would tax every propagation.
+    lane.solver.shrinkLearnts(3);
+    // Query-boundary inprocessing: every inprocessInterval-th query,
+    // vivify and subsume what the shrink kept, then let the arena GC
+    // compact.  Serialized with all other solver access by the lane's
+    // serial queue.
+    if (options_.inprocessInterval != 0 &&
+        ++lane.queriesSinceInprocess >= options_.inprocessInterval) {
+        lane.queriesSinceInprocess = 0;
+        lane.solver.inprocess();
     }
-    if (race->stop.load(std::memory_order_acquire)) {
-        reportOutcome(*race, lane.index, std::move(acc));
-        return;
-    }
-    lane.solver.setConflictBudget(sliceBudgetFor(*race, i, racing));
-    lane.solver.setStopFlag(&race->stop);
-    const std::int64_t conflicts_before =
-        lane.solver.stats().conflicts;
+    if (query.stop.load(std::memory_order_acquire))
+        return out;
+    lane.solver.setStopFlag(&query.stop);
+    const std::int64_t conflicts_before = lane.solver.stats().conflicts;
     Timer solve_timer;
-    const sat::SolveResult result = lane.solver.solve({sel.lit});
-    acc.solveSeconds += solve_timer.seconds();
-    const std::int64_t used =
-        lane.solver.stats().conflicts - conflicts_before;
-    acc.conflicts += used;
+    out.result = lane.solver.solve({sel.lit});
+    out.solveSeconds = solve_timer.seconds();
+    out.conflicts = lane.solver.stats().conflicts - conflicts_before;
     lane.solver.setStopFlag(nullptr);
 #ifdef QB_DEBUG_CHECKS
-    // Slice boundary: the solver is quiesced between budgeted solve()
-    // calls - the exact point where watcher, reason and arena-waste
-    // invariants must all hold, whatever the decision level.
+    // Query boundary: the solver is quiesced between solve() calls -
+    // the exact point where watcher, reason and arena-waste invariants
+    // must all hold, whatever the decision level.
     lane.solver.checkInvariants();
 #endif
-
-    if (continueSlicing(*race, i, racing, result, used)) {
-        submitLaneTask(race, i, /*continuation=*/true);
-        return;
-    }
-    acc.result = result;
-    reportOutcome(*race, lane.index, std::move(acc));
+    return out;
 }
 
-void
-VerificationEngine::runScratchTask(Lane &lane,
-                                   const std::shared_ptr<Race> &race)
+VerificationEngine::LaneOutcome
+VerificationEngine::runScratchTask(Lane &lane, Query &query)
 {
     // Lanes whose preset asks for preprocessing discharge each
     // condition in a dedicated solver: bounded variable elimination
     // is a whole-database transformation that is unsound once
     // selector-guarded conditions and learnt clauses accumulate, and
     // for these lanes it is worth far more than clause reuse (the
-    // paper's "formula simplification algorithms" trade-off).  The
-    // dedicated solver lives in the race so it survives slice
-    // boundaries.
-    const std::size_t i = static_cast<std::size_t>(lane.index);
-    const bool racing = options_.portfolio && lanes_.size() > 1;
-    LaneOutcome &acc = race->partial[i];
-    if (race->stop.load(std::memory_order_acquire)) {
-        if (acc.lane < 0)
-            acc.lane = lane.index;
-        harvestScratchStats(race->scratchSolver[i].get());
-        race->scratchSolver[i].reset();
-        reportOutcome(*race, lane.index, std::move(acc));
-        return;
-    }
-    if (acc.lane < 0) {
-        acc.lane = lane.index;
-        Timer encode_timer;
-        sat::TseitinResult enc = sat::encodeAssertTrue(
-            arena, race->condition, lane.options.encoding,
-            lane.options.xorChunk);
-        acc.encodeSeconds = encode_timer.seconds();
-        qbAssert(!enc.rootIsConst,
-                 "constant conditions decide upstream");
-        acc.vars = static_cast<std::size_t>(enc.cnf.numVars());
-        acc.clauses = enc.cnf.numClauses();
-        race->scratchSolver[i] =
-            std::make_unique<sat::Solver>(lane.options.solver);
-        race->scratchSolver[i]->addCnf(enc.cnf);
-    }
-    sat::Solver &solver = *race->scratchSolver[i];
-    solver.setConflictBudget(sliceBudgetFor(*race, i, racing));
-    solver.setStopFlag(&race->stop);
-    const std::int64_t conflicts_before = solver.stats().conflicts;
+    // paper's "formula simplification algorithms" trade-off).
+    LaneOutcome out;
+    out.lane = lane.index;
+    if (query.stop.load(std::memory_order_acquire))
+        return out;
+    Timer encode_timer;
+    sat::TseitinResult enc = sat::encodeAssertTrue(
+        arena, query.condition, lane.options.encoding,
+        lane.options.xorChunk);
+    out.encodeSeconds = encode_timer.seconds();
+    qbAssert(!enc.rootIsConst, "constant conditions decide upstream");
+    out.vars = static_cast<std::size_t>(enc.cnf.numVars());
+    out.clauses = enc.cnf.numClauses();
+    sat::Solver solver(lane.options.solver);
+    solver.addCnf(enc.cnf);
+    solver.setStopFlag(&query.stop);
     Timer solve_timer;
-    const sat::SolveResult result = solver.solve();
-    acc.solveSeconds += solve_timer.seconds();
-    const std::int64_t used =
-        solver.stats().conflicts - conflicts_before;
-    acc.conflicts += used;
+    out.result = solver.solve();
+    out.solveSeconds = solve_timer.seconds();
+    out.conflicts = solver.stats().conflicts;
     solver.setStopFlag(nullptr);
 #ifdef QB_DEBUG_CHECKS
     solver.checkInvariants();
 #endif
-
-    if (continueSlicing(*race, i, racing, result, used)) {
-        submitLaneTask(race, i, /*continuation=*/true);
-        return;
-    }
-    acc.result = result;
-    harvestScratchStats(race->scratchSolver[i].get());
-    race->scratchSolver[i].reset();
-    reportOutcome(*race, lane.index, std::move(acc));
+    harvestScratchStats(solver);
+    return out;
 }
 
 void
-VerificationEngine::reportOutcome(Race &race, int lane,
-                                  LaneOutcome outcome)
+VerificationEngine::reportOutcome(Query &query, LaneOutcome outcome)
 {
-    const bool definitive =
-        outcome.result != sat::SolveResult::Unknown;
-    bool last = false;
     {
-        const std::lock_guard<std::mutex> guard(race.mutex);
-        race.outcomes[lane] = std::move(outcome);
-        if (definitive)
-            race.stop.store(true, std::memory_order_release);
-        last = --race.pending == 0;
+        const std::lock_guard<std::mutex> guard(query.mutex);
+        query.outcome = std::move(outcome);
+        query.finished = true;
     }
-    if (last)
-        race.done.notify_all();
+    query.done.notify_all();
 }
 
 VerificationEngine::LaneOutcome
-VerificationEngine::collectRace(Race &race, QubitResult &out)
+VerificationEngine::collectQuery(Query &query, QubitResult &out)
 {
     {
-        std::unique_lock<std::mutex> lock(race.mutex);
-        race.done.wait(lock, [&race] { return race.pending == 0; });
+        std::unique_lock<std::mutex> lock(query.mutex);
+        query.done.wait(lock, [&query] { return query.finished; });
     }
-    // All workers have reported; outcomes are immutable from here on.
-    // Charge the work of EVERY raced lane to the result - losing and
-    // budget-exhausted lanes burnt real conflicts and real time, and
-    // reports should reflect it - but take the verdict (and the lane
-    // credit) from the first definitive lane in index order.
-    const LaneOutcome *winner = nullptr;
-    const LaneOutcome *first_run = nullptr;
-    for (const LaneOutcome &o : race.outcomes) {
-        if (o.lane < 0)
-            continue; // lane never raced (non-portfolio tail slots)
-        if (!first_run)
-            first_run = &o;
-        out.encodeSeconds += o.encodeSeconds;
-        out.solveSeconds += o.solveSeconds;
-        out.conflicts += o.conflicts;
-        if (!winner && o.result != sat::SolveResult::Unknown)
-            winner = &o;
-    }
-    // Feed the race-order table: the deciding lane's family won,
-    // every other lane that actually raced lost.  Undecided races
-    // (all Unknown) and single-lane races teach nothing - the latter
-    // have no order to learn.
-    if (winner && options_.portfolio && lanes_.size() > 1) {
-        for (const LaneOutcome &o : race.outcomes) {
-            if (o.lane < 0)
-                continue;
-            scheduler_->recordLaneOutcome(
-                lanes_[static_cast<std::size_t>(o.lane)]->familyKey,
-                &o == winner);
-        }
-    }
-    const LaneOutcome *primary = winner ? winner : first_run;
+    // The task has reported; the outcome is immutable from here on.
+    const LaneOutcome &o = query.outcome;
+    out.encodeSeconds += o.encodeSeconds;
+    out.solveSeconds += o.solveSeconds;
+    out.conflicts += o.conflicts;
+    out.cnfVars += o.vars;
+    out.cnfClauses += o.clauses;
+    out.lane = o.lane;
     LaneOutcome result;
-    if (primary) {
-        out.cnfVars += primary->vars;
-        out.cnfClauses += primary->clauses;
-        if (primary->lane >= 0)
-            out.lane = primary->lane;
-        result.lane = primary->lane;
-    }
-    result.result = winner ? winner->result : sat::SolveResult::Unknown;
+    result.lane = o.lane;
+    result.result = o.result;
     if (result.result == sat::SolveResult::Sat &&
         lanes_.front()->options.wantCounterexample)
-        result.model = deterministicModel(race.condition);
+        result.model = deterministicModel(query.condition);
     return result;
 }
 
@@ -838,8 +622,9 @@ VerificationEngine::deterministicModel(bexp::NodeRef condition)
 {
     // Replay the satisfiable condition in a fresh lane-0-configured
     // solver with no stop flag: the resulting model depends only on
-    // the condition, never on which racing lane won or on the
-    // scheduler's timing, so counterexamples are identical between
+    // the condition, never on which lane decided it or on the learnt
+    // clauses a persistent lane carried in from earlier (possibly
+    // cancelled) queries, so counterexamples are identical between
     // --jobs 1 and --jobs N runs.  The replay honors the lane's
     // per-call conflict budget (it is one more SAT call); if the
     // budget is too tight to re-find a model, the Unsafe verdict
@@ -905,7 +690,7 @@ VerificationEngine::prepare(ir::QubitId q)
     p.conds = &conds;
 
     if (conds.zeroDischarged) {
-        // Statically proven UNSAT: no race.  finish() treats a null
+        // Statically proven UNSAT: no query.  finish() treats a null
         // zero handle as a settled Unsat, exactly as for a constant.
         // Checked BEFORE the constant test so affine placeholders
         // route here, not through structuralOutcome().
@@ -920,14 +705,14 @@ VerificationEngine::prepare(ir::QubitId q)
             return p;
         }
     } else {
-        p.zero = submitRace(conds.zero);
+        p.zero = submitQuery(conds.zero, conds.zeroLane);
     }
     // Queue (6.2) speculatively: safe qubits (the common case) need it
-    // anyway, and an Unsafe (6.1) answer cancels the race.
+    // anyway, and an Unsafe (6.1) answer cancels the query.
     if (conds.plusDischarged)
         ++engineStats.analysisDischarged;
     else if (!arena.isConst(conds.plus))
-        p.plus = submitRace(conds.plus);
+        p.plus = submitQuery(conds.plus, conds.plusLane);
     return p;
 }
 
@@ -965,7 +750,8 @@ VerificationEngine::prepareCleanAncilla(ir::QubitId q)
         cleanCache[q] = residue;
     }
     p.out.buildSeconds = build_timer.seconds();
-    p.out.formulaNodes = arena.dagSize(residue);
+    const bexp::DagShape cone = arena.dagShape(residue);
+    p.out.formulaNodes = cone.nodes;
     p.out.solvedStructurally = arena.isConst(residue);
 
     if (arena.isConst(residue)) {
@@ -976,7 +762,7 @@ VerificationEngine::prepareCleanAncilla(ir::QubitId q)
             p.out.verdict = Verdict::Safe;
         p.immediate = true;
     } else {
-        p.zero = submitRace(residue);
+        p.zero = submitQuery(residue, laneFor(cone));
     }
     return p;
 }
@@ -988,7 +774,7 @@ VerificationEngine::finish(Pending p)
         return std::move(p.out);
 
     if (p.clean) {
-        const LaneOutcome res = collectRace(*p.zero, p.out);
+        const LaneOutcome res = collectQuery(*p.zero, p.out);
         p.zero.reset();
         switch (res.result) {
           case sat::SolveResult::Unsat:
@@ -1005,11 +791,11 @@ VerificationEngine::finish(Pending p)
     }
 
     if (p.zero) {
-        const LaneOutcome zero = collectRace(*p.zero, p.out);
+        const LaneOutcome zero = collectQuery(*p.zero, p.out);
         p.zero.reset();
         if (zero.result == sat::SolveResult::Sat) {
             finishUnsafe(p.out, zero, FailedCondition::ZeroRestoration);
-            return std::move(p.out); // ~Pending cancels the (6.2) race
+            return std::move(p.out); // ~Pending cancels the (6.2) query
         }
         if (zero.result == sat::SolveResult::Unknown) {
             p.out.verdict = Verdict::Unknown;
@@ -1019,7 +805,7 @@ VerificationEngine::finish(Pending p)
 
     LaneOutcome plus;
     if (p.plus) {
-        plus = collectRace(*p.plus, p.out);
+        plus = collectQuery(*p.plus, p.out);
         p.plus.reset();
     } else if (p.conds->plusDischarged) {
         // Statically discharged in prepare(): settled Unsat with no
@@ -1058,7 +844,7 @@ VerificationEngine::verifyAllQubits(const ResultObserver &observer)
 {
     ProgramResult result;
     Timer timer;
-    // Pipeline the whole circuit: queue every qubit's races before
+    // Pipeline the whole circuit: queue every qubit's queries before
     // awaiting the first verdict, so the worker pool crosses qubit
     // boundaries without draining.
     std::vector<Pending> pendings;
@@ -1119,7 +905,7 @@ verifyAll(const lang::ElaboratedProgram &program,
         return *session;
     };
 
-    // Pass 1 - pipeline: build and queue every qubit's races, in
+    // Pass 1 - pipeline: build and queue every qubit's queries, in
     // emission order, without waiting on any verdict.
     struct WorkItem
     {

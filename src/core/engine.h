@@ -1,6 +1,6 @@
 /**
  * @file
- * Session-based, incremental, portfolio verification engine.
+ * Session-based, incremental, multi-lane verification engine.
  *
  * The one-shot entry points of verifier.h rebuild everything per qubit:
  * a fresh arena, a fresh Tseitin encoding and a fresh CDCL solver for
@@ -16,10 +16,11 @@
  *     assumption-based incremental SAT (sat::IncrementalTseitin emits
  *     each condition behind a selector literal), so conflict clauses
  *     learnt while verifying one qubit speed up the next;
- *   - an optional PORTFOLIO mode racing all lanes on every query with
- *     first-finisher cancellation, reproducing the paper's
- *     CVC5-vs-Bitwuzla complementarity without having to guess the
- *     winning solver per benchmark family up front.
+ *   - with more than one lane, a per-condition CHOICE of lane made
+ *     from the shape of the condition's cone (its XOR:AND node ratio),
+ *     reproducing the paper's CVC5-vs-Bitwuzla complementarity
+ *     without having to guess the winning solver per benchmark family
+ *     up front - and without paying to run the loser.
  *
  * All SAT work runs on a persistent core::Scheduler worker pool sized
  * to the hardware (or EngineOptions::jobs): lanes are serial queues on
@@ -59,27 +60,17 @@ struct EngineOptions
      * solver instead - bounded variable elimination is a
      * whole-database transformation that cannot survive incremental
      * clause addition, and for such lanes it outweighs clause reuse.
+     *
+     * With more than one lane, each SAT condition goes to exactly one
+     * of them, chosen when the condition is built from the XOR:AND
+     * node ratio of its cone: XOR-dense cones (adders) to the first
+     * preprocessing lane, the rest (MCX ladders) to the first
+     * persistent lane, lane 0 when the wanted kind is missing.
+     * Nothing is raced.  The choice depends on the condition alone,
+     * so it is the same at every jobs count, and counterexamples come
+     * from the deterministic replay solve either way.
      */
     std::vector<VerifierOptions> lanes{VerifierOptions::laneA()};
-
-    /**
-     * Race every lane on every SAT query; the first definitive answer
-     * wins and cancels the rest.  With a single lane this is a no-op.
-     *
-     * Race order is adaptive: each race submits its lanes' first
-     * slices in descending win rate of the lane's FAMILY (preset
-     * configuration), and a yielding slice of the current favorite
-     * requeues at the front of its fairness band.  Win rates live on
-     * the shared Scheduler, so they accumulate across the whole
-     * session - and across requests in server mode.  On hosts with
-     * fewer workers than lanes this is the difference between the
-     * probable winner's slice running immediately and it waiting
-     * behind a probable loser's.  Verdicts and counterexamples are
-     * unaffected: the winner of a collected race is chosen by lane
-     * index, and counterexamples come from the deterministic replay
-     * solve.
-     */
-    bool portfolio = false;
 
     /**
      * Worker threads in the scheduler pool backing this session;
@@ -118,7 +109,7 @@ struct EngineOptions
      * scratch tasks).  Sessions sharing one pool but belonging to
      * different request streams - distinct programs in qborrow server
      * mode - should use distinct bands: the pool drains bands
-     * round-robin, so a program with a deep backlog of races cannot
+     * round-robin, so a program with a deep backlog of queries cannot
      * starve a newly-admitted program.  0 (the default) is the shared
      * band of standalone runs.
      */
@@ -139,7 +130,8 @@ struct EngineOptions
 
     /** Session with exactly one lane (the compatibility default). */
     static EngineOptions singleLane(const VerifierOptions &options);
-    /** Both benchmark lanes racing, like the paper's solver pairing. */
+    /** Both benchmark lanes, chosen per condition, like the paper's
+     *  solver pairing. */
     static EngineOptions portfolioAB();
 };
 
@@ -151,24 +143,24 @@ class VerificationEngine;
 /**
  * Cooperative cancellation handle for an in-flight verification
  * request (server mode: a client cancels a submitted program while its
- * races are still running).
+ * queries are still running).
  *
  * One CancelSource is shared between the submitting side (which calls
  * requestCancel() from any thread) and the engine sessions doing the
  * work: every VerificationEngine constructed with this source attaches
  * itself, and requestCancel() flips the stop flag of each attached
- * engine's live races - solvers poll that flag and bail within a
+ * engine's live queries - solvers poll that flag and bail within a
  * propagation round - then marks the engines cancelled so later
  * prepare() calls settle immediately with Verdict::Unknown.
- * Cancellation is a VERDICT downgrade, never a data race: races drain
- * through the normal collect path and report Unknown.
+ * Cancellation is a VERDICT downgrade, never a data race: queries
+ * drain through the normal collect path and report Unknown.
  *
  * Thread-safe; requestCancel() is idempotent.
  */
 class CancelSource
 {
   public:
-    /** Cancel: stop attached engines' races, mark future work moot. */
+    /** Cancel: stop attached engines' queries, mark future work moot. */
     void requestCancel();
 
     /** Has requestCancel() been called? */
@@ -200,11 +192,12 @@ class CancelSource
  * thread.
  *
  * Counterexamples are extracted by a deterministic replay solve of the
- * satisfiable condition rather than from whichever racing lane
- * happened to win, so with the default unlimited conflict budget,
- * verdicts AND counterexamples are identical across jobs counts and
- * schedules.  (A finite budget makes "decided vs Unknown" depend on
- * each lane's learnt-clause state, which is schedule-dependent.)
+ * satisfiable condition rather than from the deciding lane's solver,
+ * so with the default unlimited conflict budget, verdicts AND
+ * counterexamples are identical across jobs counts and schedules.
+ * (A finite budget makes "decided vs Unknown" depend on the
+ * persistent lane's learnt-clause state, which a cancelled speculative
+ * (6.2) query leaves schedule-dependent.)
  */
 class VerificationEngine
 {
@@ -212,12 +205,12 @@ class VerificationEngine
     /** Cumulative session counters. */
     struct Stats
     {
-        std::size_t satCalls = 0;        ///< solver queries issued
+        std::size_t satCalls = 0;        ///< conditions sent to a lane
         std::size_t structural = 0;      ///< conditions folded to const
         std::size_t conditionHits = 0;   ///< condition cache hits
         std::size_t qubitsVerified = 0;
         /** Conditions the GF(2)-affine pass proved UNSAT (no SAT
-         *  race queued).  A discharge also skips BUILDING the
+         *  query queued).  A discharge also skips BUILDING the
          *  condition: the pass is consulted before the formula
          *  construction, window-free, so wide linear cones pay
          *  neither the (6.2) cofactor sweep nor any encoding. */
@@ -235,11 +228,11 @@ class VerificationEngine
     };
 
     /**
-     * In-flight verification of one qubit: conditions built and races
-     * submitted to the scheduler, result not yet collected.  Obtained
-     * from prepare()/prepareCleanAncilla(), redeemed exactly once with
-     * finish().  Move-only; destroying an unredeemed handle cancels
-     * its races.
+     * In-flight verification of one qubit: conditions built and
+     * queries submitted to the scheduler, result not yet collected.
+     * Obtained from prepare()/prepareCleanAncilla(), redeemed exactly
+     * once with finish().  Move-only; destroying an unredeemed handle
+     * cancels its queries.
      */
     class Pending;
 
@@ -265,15 +258,16 @@ class VerificationEngine
     QubitResult verifyCleanAncilla(ir::QubitId q);
 
     /**
-     * Build the conditions of @p q and submit their SAT races to the
-     * scheduler without waiting: the pipelining half of verify().
+     * Build the conditions of @p q, choose each one's lane and submit
+     * the SAT queries to the scheduler without waiting: the
+     * pipelining half of verify().
      * Preparing several qubits before finishing the first keeps every
      * worker busy across qubit boundaries.
      */
     Pending prepare(ir::QubitId q);
     /** prepare() for the clean-ancilla criterion. */
     Pending prepareCleanAncilla(ir::QubitId q);
-    /** Await @p pending's races and assemble its QubitResult. */
+    /** Await @p pending's queries and assemble its QubitResult. */
     QubitResult finish(Pending pending);
 
     /**
@@ -293,7 +287,7 @@ class VerificationEngine
      * True once this session's CancelSource fired (or the session was
      * constructed from an already-cancelled source).  Cancelled
      * sessions settle every further prepare() immediately with
-     * Verdict::Unknown and abandon their in-flight races.
+     * Verdict::Unknown and abandon their in-flight queries.
      */
     bool cancelled() const
     {
@@ -326,40 +320,38 @@ class VerificationEngine
     struct Lane;
     struct Conditions;
     struct LaneOutcome;
-    struct Race;
+    struct Query;
 
-    /** Flip the stop flag of every live race and mark the session
+    /** Flip the stop flag of every live query and mark the session
      *  cancelled (called by CancelSource::requestCancel()). */
     void cancelNow();
 
     /** Run the FormulaBuilder scan into finals, once per session. */
     void ensureFinals();
     const Conditions &conditionsFor(ir::QubitId q);
-    std::shared_ptr<Race> submitRace(bexp::NodeRef condition);
-    void submitLaneTask(const std::shared_ptr<Race> &race,
-                        std::size_t lane_index,
-                        bool continuation = false);
-    LaneOutcome collectRace(Race &race, QubitResult &out);
+    /** Lane of a condition whose cone has shape @p cone. */
+    std::size_t laneFor(const bexp::DagShape &cone) const;
+    std::shared_ptr<Query> submitQuery(bexp::NodeRef condition,
+                                       std::size_t lane_index);
+    LaneOutcome collectQuery(Query &query, QubitResult &out);
     LaneOutcome structuralOutcome(bexp::NodeRef condition);
-    std::int64_t sliceBudgetFor(const Race &race, std::size_t lane,
-                                bool racing) const;
-    bool continueSlicing(Race &race, std::size_t lane, bool racing,
-                         sat::SolveResult result, std::int64_t used);
-    void runPersistentTask(Lane &lane,
-                           const std::shared_ptr<Race> &race);
-    void runScratchTask(Lane &lane, const std::shared_ptr<Race> &race);
+    LaneOutcome runPersistentTask(Lane &lane, Query &query);
+    LaneOutcome runScratchTask(Lane &lane, Query &query);
     std::optional<std::vector<bool>>
     deterministicModel(bexp::NodeRef condition);
-    void reportOutcome(Race &race, int lane, LaneOutcome outcome);
+    static void reportOutcome(Query &query, LaneOutcome outcome);
     void finishUnsafe(QubitResult &out, const LaneOutcome &outcome,
                       FailedCondition which);
-    static void abandon(const std::shared_ptr<Race> &race);
+    static void abandon(const std::shared_ptr<Query> &query);
     void waitIdle();
 
     EngineOptions options_;
     ir::Circuit circuit_;
     bexp::Arena arena;
     bool classical = false;
+    /** analysis::writtenWires() of circuit_, computed at construction
+     *  when the affine consult is on (it gates the consult). */
+    std::vector<bool> written_;
     /** Final formula b_q per qubit; filled by ensureFinals(). */
     std::vector<bexp::NodeRef> finals;
     std::shared_ptr<Scheduler> scheduler_;
@@ -377,8 +369,8 @@ class VerificationEngine
     Stats engineStats;
 
     /** Fold a retiring scratch solver's counters into
-     *  scratchTotals_ (no-op on nullptr). */
-    void harvestScratchStats(const sat::Solver *solver);
+     *  scratchTotals_. */
+    void harvestScratchStats(const sat::Solver &solver);
     /** Solver counters of every scratch solver retired so far;
      *  guarded by scratchStatsMutex (harvests run on pool workers). */
     sat::SolverStats scratchTotals_;
@@ -388,7 +380,7 @@ class VerificationEngine
     std::mutex fenceMutex;
     std::condition_variable fenceIdle;
     std::size_t tasksInFlight = 0;      ///< guarded by fenceMutex
-    std::vector<std::weak_ptr<Race>> liveRaces; ///< guarded by fenceMutex
+    std::vector<std::weak_ptr<Query>> liveQueries; ///< guarded by fenceMutex
     /** @} */
 };
 
@@ -404,10 +396,10 @@ class VerificationEngine::Pending
     Pending();
 
     QubitResult out;
-    /** Conditions backing the races (owned by the engine's cache). */
+    /** Conditions backing the queries (owned by the engine's cache). */
     const Conditions *conds = nullptr;
-    std::shared_ptr<Race> zero; ///< (6.1) race, or the clean residue
-    std::shared_ptr<Race> plus; ///< (6.2) race (speculative)
+    std::shared_ptr<Query> zero; ///< (6.1) query, or the clean residue
+    std::shared_ptr<Query> plus; ///< (6.2) query (speculative)
     bool immediate = false;     ///< verdict settled at prepare time
     bool clean = false;         ///< clean-ancilla single-condition check
 };
@@ -423,7 +415,8 @@ class VerificationEngine::Pending
  * speedup comes from on programs like adder.qbr whose dirty qubits are
  * borrowed together.  All sessions share ONE scheduler pool sized by
  * @p options.jobs, and the whole program is pipelined through it:
- * every qubit's races are queued before the first result is awaited.
+ * every qubit's queries are queued before the first result is
+ * awaited.
  * Results stream through @p observer (when set) in qubit order as they
  * are produced.
  */
@@ -437,7 +430,7 @@ ProgramResult verifyAll(const lang::ElaboratedProgram &program,
  * cancellable: the serving entry point.  The qborrow daemon calls this
  * with the ONE process-wide pool it created at startup and a
  * per-request CancelSource, so pool startup is amortized across
- * requests, concurrent requests' races interleave fairly (give each
+ * requests, concurrent requests' queries interleave fairly (give each
  * request a distinct EngineOptions::fairnessBand), and a cancelled
  * request's remaining qubits settle as Verdict::Unknown without
  * blocking the pool.  @p scheduler must be non-null; @p cancel may be

@@ -1,10 +1,8 @@
 #include "core/scheduler.h"
 
 #include <condition_variable>
-#include <cstdint>
 #include <map>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -28,20 +26,10 @@ struct Scheduler::Impl
     bool stopping = false;
     std::vector<std::thread> threads;
 
-    /** (wins, races) per lane family; guarded by laneMutex (its own
-     *  lock: win bookkeeping must never contend with the hot
-     *  push/pop path). */
-    mutable std::mutex laneMutex;
-    std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>
-        laneStats;
-
     void
-    push(unsigned band, Task task, bool front = false)
+    push(unsigned band, Task task)
     {
-        if (front)
-            bands[band].push_front(std::move(task));
-        else
-            bands[band].push_back(std::move(task));
+        bands[band].push_back(std::move(task));
         ++runnableCount;
     }
 
@@ -116,11 +104,11 @@ Scheduler::submit(Task task)
 }
 
 void
-Scheduler::submit(unsigned band, Task task, bool front)
+Scheduler::submit(unsigned band, Task task)
 {
     {
         const std::lock_guard<std::mutex> guard(impl->mutex);
-        impl->push(band, std::move(task), front);
+        impl->push(band, std::move(task));
     }
     impl->workAvailable.notify_one();
 }
@@ -136,31 +124,6 @@ Scheduler::bandBacklog() const
     return out;
 }
 
-void
-Scheduler::recordLaneOutcome(const std::string &family, bool won)
-{
-    const std::lock_guard<std::mutex> guard(impl->laneMutex);
-    auto &[wins, races] = impl->laneStats[family];
-    ++races;
-    if (won)
-        ++wins;
-}
-
-double
-Scheduler::laneWinRate(const std::string &family) const
-{
-    const std::lock_guard<std::mutex> guard(impl->laneMutex);
-    const auto it = impl->laneStats.find(family);
-    // The 0.5 prior (one phantom win in two phantom races) keeps
-    // unseen families neutral and damps early flukes.
-    std::uint64_t wins = 1, races = 2;
-    if (it != impl->laneStats.end()) {
-        wins += it->second.first;
-        races += it->second.second;
-    }
-    return static_cast<double>(wins) / static_cast<double>(races);
-}
-
 std::shared_ptr<Scheduler::SerialQueue>
 Scheduler::makeQueue(unsigned band)
 {
@@ -170,23 +133,16 @@ Scheduler::makeQueue(unsigned band)
 }
 
 void
-Scheduler::submit(const std::shared_ptr<SerialQueue> &queue, Task task,
-                  bool front)
+Scheduler::submit(const std::shared_ptr<SerialQueue> &queue, Task task)
 {
     bool activate = false;
     {
         const std::lock_guard<std::mutex> guard(impl->mutex);
-        if (front) {
-            queue->tasks.push_front(std::move(task));
-            queue->boosted = true;
-        } else {
-            queue->tasks.push_back(std::move(task));
-        }
+        queue->tasks.push_back(std::move(task));
         if (!queue->active) {
             queue->active = true;
             activate = true;
-            impl->push(queue->band, drainThunk(queue),
-                       std::exchange(queue->boosted, false));
+            impl->push(queue->band, drainThunk(queue));
         }
     }
     if (activate)
@@ -197,14 +153,12 @@ Scheduler::Task
 Scheduler::drainThunk(std::shared_ptr<SerialQueue> queue)
 {
     // One queue task per activation, then the queue goes to the BACK
-    // of its band's runnable list.  Round-robin fairness is
-    // load-bearing twice over: lanes yield between conflict slices,
-    // and with fewer workers than lanes a re-queued slice must not
-    // starve the other lanes' (possibly much faster) attempts at the
-    // same condition; and with many programs sharing the pool (server
-    // mode) the band rotation keeps every program's lanes advancing.
-    // FIFO order and mutual exclusion per queue still hold - only this
-    // thunk pops the queue while active is set.
+    // of its band's runnable list, so a persistent lane's backlog of
+    // conditions takes turns with the unordered tasks of its band (the
+    // per-condition lane's solves), and with many programs sharing the
+    // pool (server mode) the band rotation keeps every program's lanes
+    // advancing.  FIFO order and mutual exclusion per queue still
+    // hold - only this thunk pops the queue while active is set.
     return [this, queue = std::move(queue)] {
         Task next;
         {
@@ -223,10 +177,7 @@ Scheduler::drainThunk(std::shared_ptr<SerialQueue> queue)
             if (queue->tasks.empty())
                 queue->active = false;
             else {
-                // A boost posted while this task ran sends the next
-                // activation to the band front (consumed here).
-                impl->push(queue->band, drainThunk(queue),
-                           std::exchange(queue->boosted, false));
+                impl->push(queue->band, drainThunk(queue));
                 more = true;
             }
         }

@@ -9,7 +9,7 @@
  * replacement subsystem: a fixed pool of workers, created once and
  * sized to the machine (or to EngineOptions::jobs), that pulls
  * (qubit, condition) work items from queues.  Engines submit every SAT
- * task here - racing lanes, batch pipelines, single queries - so the
+ * task here - batch pipelines and single queries, on any lane - so the
  * process-wide thread count is the pool size, full stop.
  *
  * Two submission flavors cover the engine's needs:
@@ -44,7 +44,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -63,10 +62,6 @@ class Scheduler
         friend class Scheduler;
         std::deque<Task> tasks; ///< guarded by the scheduler mutex
         bool active = false;    ///< a worker is draining this queue
-        /** A front-priority submission arrived: the next drain-thunk
-         *  (re)activation goes to the FRONT of the band (consumed per
-         *  push).  Guarded by the scheduler mutex. */
-        bool boosted = false;
         unsigned band = 0;      ///< fairness band of the drain thunks
     };
 
@@ -89,23 +84,12 @@ class Scheduler
     void submit(Task task);
 
     /** Run @p task on any worker, unordered, in fairness band
-     *  @p band.  @p front puts it at the FRONT of the band instead of
-     *  the back: the next pop that reaches this band takes it first
-     *  (the engine boosts the favorite lane's continuation
-     *  slices this way so win-rate ordering helps long races, not
-     *  just the first slice). */
-    void submit(unsigned band, Task task, bool front = false);
+     *  @p band. */
+    void submit(unsigned band, Task task);
 
-    /**
-     * Run @p task after every earlier task of @p queue, exclusively.
-     * @p front additionally (a) places the task ahead of @p queue's
-     * not-yet-started tasks and (b) boosts the queue's next drain
-     * activation to the front of its fairness band.  FIFO order among
-     * normally-submitted tasks and per-queue mutual exclusion still
-     * hold.
-     */
-    void submit(const std::shared_ptr<SerialQueue> &queue, Task task,
-                bool front = false);
+    /** Run @p task after every earlier task of @p queue,
+     *  exclusively. */
+    void submit(const std::shared_ptr<SerialQueue> &queue, Task task);
 
     /** New serial queue whose drain turns run in fairness band
      *  @p band. */
@@ -119,31 +103,6 @@ class Scheduler
      * backlog shape shows which programs are waiting on SAT work.
      */
     std::vector<std::pair<unsigned, std::size_t>> bandBacklog() const;
-
-    /** @name Cross-session lane-family win statistics. @{ */
-
-    /**
-     * Record that the solver lane of family @p family won (or lost)
-     * a portfolio race.  The table lives on the scheduler - the
-     * object shared across a program's sessions, and across ALL
-     * requests in server mode - so the win rates a family earned on
-     * early queries (or earlier programs) seed later races: the
-     * engine submits the likely winner's first slice ahead of its
-     * rivals (see EngineOptions::portfolio), which is what
-     * cuts sliced-racing overhead when workers are scarcer than
-     * lanes.  Thread-safe.
-     */
-    void recordLaneOutcome(const std::string &family, bool won);
-
-    /**
-     * Win fraction of @p family in [0, 1], with a neutral 0.5 prior
-     * for families never seen (two phantom races, one won): a family
-     * must earn its head start, and one fluke cannot saturate the
-     * score.  Thread-safe.
-     */
-    double laneWinRate(const std::string &family) const;
-
-    /** @} */
 
   private:
     struct Impl;

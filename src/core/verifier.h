@@ -77,8 +77,9 @@ struct QubitResult
     Verdict verdict = Verdict::Unknown;
     FailedCondition failed = FailedCondition::None;
 
-    /** Index of the engine lane that produced the verdict (first to
-     *  finish in portfolio mode); -1 outside engine sessions. */
+    /** Index of the engine lane that decided the qubit's last SAT
+     *  condition (with several lanes, the one chosen for that
+     *  condition); -1 when no condition reached a lane. */
     int lane = -1;
 
     /** Satisfying initial assignment (by qubit id) when Unsafe. */
@@ -126,12 +127,14 @@ struct ProgramResult
     double totalSeconds = 0.0;
 
     /**
-     * Aggregated persistent-lane solver counters, summed over lanes
-     * and sessions (the peak fields sum per-solver peaks).  Filled by
-     * every batch path - VerificationEngine::verifyAllQubits(),
+     * Aggregated solver counters, summed over lanes and sessions (the
+     * peak fields sum per-solver peaks): every persistent lane's
+     * solver plus the harvested counters of every per-condition solver
+     * a preprocessing lane retired
+     * (VerificationEngine::aggregateSolverStats()).  Filled by every
+     * batch path - VerificationEngine::verifyAllQubits(),
      * core::verifyAll() and the verifyProgram()/verifySource()
-     * wrappers over it; scratch (preprocessing) lanes discharge in
-     * per-condition solvers whose counters are not included.
+     * wrappers over it.
      */
     sat::SolverStats solverTotals;
 

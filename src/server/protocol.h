@@ -167,7 +167,8 @@ struct StatsSnapshot
  */
 struct RequestOptions
 {
-    /** "A", "B" or "portfolio"; empty = server default. */
+    /** "A", "B" or "portfolio" (both, chosen per condition); empty =
+     *  server default. */
     std::string lane;
     /** Also check alloc'd clean ancillas; unset = server default. */
     bool clean = false;

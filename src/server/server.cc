@@ -287,7 +287,7 @@ Server::Impl::acceptOne(serving::Listener &listener)
 }
 
 /** Close connections idle past the configured timeout.  A connection
- *  with in-flight work is never idle, however long its SAT race runs;
+ *  with in-flight work is never idle, however long its SAT query runs;
  *  shutting the socket down (not closing the fd) kicks the reader,
  *  which owns the ordinary teardown path. */
 void
@@ -564,21 +564,15 @@ Server::Impl::engineOptionsFor(const RequestOptions &request)
 {
     const core::EngineOptions &base = options.engine;
     core::EngineOptions chosen = base;
-    // A lane override replaces only the lane set and the portfolio
-    // flag: server-wide policies (analysis, binary analysis,
-    // inprocessing) stay as configured.
-    const auto useLanes = [&chosen](const core::EngineOptions &preset) {
-        chosen.lanes = preset.lanes;
-        chosen.portfolio = preset.portfolio;
-    };
+    // A lane override replaces only the lane set: server-wide
+    // policies (analysis, binary analysis, inprocessing) stay as
+    // configured.
     if (request.lane == "A")
-        useLanes(core::EngineOptions::singleLane(
-            core::VerifierOptions::laneA()));
+        chosen.lanes = {core::VerifierOptions::laneA()};
     else if (request.lane == "B")
-        useLanes(core::EngineOptions::singleLane(
-            core::VerifierOptions::laneB()));
+        chosen.lanes = {core::VerifierOptions::laneB()};
     else if (request.lane == "portfolio")
-        useLanes(core::EngineOptions::portfolioAB());
+        chosen.lanes = core::EngineOptions::portfolioAB().lanes;
     chosen.jobs = options.jobs;
     const bool want_cex = request.counterexampleSet
         ? request.counterexample
@@ -593,7 +587,7 @@ Server::Impl::engineOptionsFor(const RequestOptions &request)
         lane.conflictBudget = budget;
     }
     // Distinct band per request: the pool round-robins bands, so one
-    // program's backlog cannot starve another's first race.
+    // program's backlog cannot starve another's first query.
     chosen.fairnessBand =
         1 + (bandCounter.fetch_add(1, std::memory_order_relaxed) &
              0x3ff);

@@ -19,10 +19,10 @@ ServingTier::optionsFingerprint(const core::EngineOptions &engine_opts,
     // Everything that can change a VERDICT or a report field other
     // than timing goes in; scheduling-only knobs (fairnessBand, jobs,
     // inprocessInterval) stay out so they do not splinter the cache.
-    // Lane order matters (reports name lanes by index), so lanes are
-    // fingerprinted in order.
+    // Lane order matters (reports name lanes by index, and the
+    // per-condition lane choice picks the first lane of each kind), so
+    // lanes are fingerprinted in order.
     std::string key = check_clean ? "clean;" : "dirty;";
-    key += engine_opts.portfolio ? "pf;" : "sl;";
     // Static-analysis options change report fields (the "analysis"
     // discharge counters) even though verdicts are unaffected, so they
     // key the cache too.

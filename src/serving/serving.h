@@ -94,7 +94,7 @@ class ServingTier
 
     /**
      * Fingerprint of the options that affect a verification RESULT:
-     * lane configuration, portfolio flag, clean-ancilla checking,
+     * lane configuration, clean-ancilla checking,
      * counterexample extraction, conflict budget and the static
      * analysis options (which decide the report's discharge
      * counters).  Deliberately excludes fairnessBand (scheduling

@@ -323,12 +323,10 @@ TEST(DataflowEngine, WritesWireSeesTargetsAndSwapOperands)
 {
     Circuit c(3);
     c.append(Gate::cnot(0, 1));
-    EXPECT_FALSE(writesWire(c, 0)); // control only: never written
-    EXPECT_TRUE(writesWire(c, 1));
-    EXPECT_FALSE(writesWire(c, 2));
+    // Wire 0 is a control only: never written.
+    EXPECT_EQ((std::vector<bool>{false, true, false}), writtenWires(c));
     c.append(Gate::swap(0, 2));
-    EXPECT_TRUE(writesWire(c, 0));
-    EXPECT_TRUE(writesWire(c, 2));
+    EXPECT_EQ((std::vector<bool>{true, true, true}), writtenWires(c));
 }
 
 // ------------------------------------------------ mirrored circuit

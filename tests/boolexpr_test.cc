@@ -169,10 +169,10 @@ TEST(Arena, SharedMemoMatchesOneShotAndCountsEachNodeOnce)
     memo.reset(0, kFalse);
     EXPECT_EQ(f0, a.substitute(f, memo));
     const std::size_t after_f = memo.visits();
-    EXPECT_EQ(a.dagSize(f), after_f);
+    EXPECT_EQ(a.dagShape(f).nodes, after_f);
     EXPECT_EQ(g0, a.substitute(g, memo));
     // g shares x, y, z and x&y with f: only its own nodes are new.
-    EXPECT_LT(memo.visits() - after_f, a.dagSize(g));
+    EXPECT_LT(memo.visits() - after_f, a.dagShape(g).nodes);
 
     // Nodes interned after reset() lie past the memo's old size and
     // must still be rewritten, not read from stale slots.
@@ -182,7 +182,7 @@ TEST(Arena, SharedMemoMatchesOneShotAndCountsEachNodeOnce)
                   memo.reset(0, kTrue);
                   return a.substitute(late, memo);
               }());
-    EXPECT_EQ(a.dagSize(late), memo.visits());
+    EXPECT_EQ(a.dagShape(late).nodes, memo.visits());
 }
 
 TEST(Arena, SupportSet)
@@ -201,7 +201,10 @@ TEST(Arena, DagSizeCountsSharedOnce)
     const NodeRef f = a.mkAnd({x, y});
     const NodeRef g = a.mkXor({f, a.mkAnd({f, a.mkVar(2)})});
     // Nodes: g, f, and(f,z), x, y, z.
-    EXPECT_EQ(6u, a.dagSize(g));
+    const DagShape shape = a.dagShape(g);
+    EXPECT_EQ(6u, shape.nodes);
+    EXPECT_EQ(2u, shape.ands); // f and and(f,z), f counted once
+    EXPECT_EQ(1u, shape.xors); // g
 }
 
 TEST(Arena, ToStringSmoke)

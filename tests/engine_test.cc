@@ -2,8 +2,8 @@
  * @file
  * Tests for the session-based VerificationEngine: agreement with the
  * one-shot wrappers and the brute-force oracle, incremental reuse
- * across qubits, portfolio racing, batch verification with streaming
- * observers, and the JSON report emitter.
+ * across qubits, the per-condition lane choice, batch verification
+ * with streaming observers, and the JSON report emitter.
  */
 
 #include <gtest/gtest.h>
@@ -219,17 +219,76 @@ TEST(Engine, NotClassicalCircuit)
 
 TEST(Engine, PortfolioAgreesAndRecordsWinningLane)
 {
+    // Each SAT condition goes to the one lane chosen for it, and the
+    // result names that lane and carries that lane's work alone.
     const Circuit c = circuits::hanerCarryCircuit(5);
     VerificationEngine engine(c, EngineOptions::portfolioAB());
     EXPECT_EQ(2u, engine.numLanes());
     for (ir::QubitId q = 0; q < c.numQubits(); ++q) {
+        const std::size_t calls = engine.stats().satCalls;
         const QubitResult r = engine.verify(q);
         EXPECT_EQ(verifyQubit(c, q).verdict, r.verdict)
             << "qubit " << q;
-        if (!r.solvedStructurally) {
-            EXPECT_GE(r.lane, 0);
-            EXPECT_LT(r.lane, 2);
+        if (engine.stats().satCalls == calls) {
+            EXPECT_EQ(-1, r.lane) << "qubit " << q;
+            continue;
         }
+        EXPECT_GE(r.lane, 0) << "qubit " << q;
+        EXPECT_LT(r.lane, 2) << "qubit " << q;
+        EXPECT_GT(r.cnfVars, 0u) << "qubit " << q;
+    }
+}
+
+/** The lifetime slice of @p program's first verified borrow and the
+ *  verified qubits that share it: one engine session's worth. */
+std::pair<Circuit, std::vector<ir::QubitId>>
+firstSession(const lang::ElaboratedProgram &program)
+{
+    const std::vector<ir::QubitId> verified =
+        program.qubitsWithRole(lang::QubitRole::BorrowVerify);
+    const lang::QubitInfo &info = program.qubits[verified.front()];
+    std::vector<ir::QubitId> shared;
+    for (const ir::QubitId q : verified)
+        if (program.qubits[q].scopeBegin == info.scopeBegin &&
+            program.qubits[q].scopeEnd == info.scopeEnd)
+            shared.push_back(q);
+    return {program.circuit.slice(info.scopeBegin, info.scopeEnd),
+            shared};
+}
+
+TEST(Engine, PortfolioSolvesEachConditionOnce)
+{
+    // With two lanes, every condition that reaches SAT is one query on
+    // one lane.  Adder cones are XOR-dense and go to the
+    // preprocessing lane (B, index 1); MCX cones are AND-dense and go
+    // to the persistent lane (A, index 0).
+    const std::pair<std::string, int> cases[] = {
+        {circuits::adderQbrSource(12), 1},
+        {circuits::mcxQbrSource(150), 0},
+    };
+    for (const auto &[source, lane] : cases) {
+        const auto program = lang::elaborateSource(source);
+        const auto [scope, qubits] = firstSession(program);
+        VerificationEngine engine(scope, EngineOptions::portfolioAB());
+        bool sent = false;
+        for (const ir::QubitId q : qubits) {
+            const QubitResult r = engine.verify(q);
+            EXPECT_EQ(Verdict::Safe, r.verdict) << r.name;
+            if (r.lane >= 0) {
+                EXPECT_EQ(lane, r.lane) << r.name;
+                sent = true;
+            }
+        }
+        EXPECT_TRUE(sent) << "no condition reached SAT; pick a "
+                             "larger instance";
+        // All qubits are safe, so both conditions of every qubit were
+        // built: each one was discharged, folded to a constant, or
+        // sent to exactly one lane.
+        const VerificationEngine::Stats &stats = engine.stats();
+        EXPECT_EQ(2 * stats.qubitsVerified - stats.analysisDischarged -
+                      stats.structural,
+                  stats.satCalls)
+            << "lane " << lane;
     }
 }
 
@@ -436,11 +495,13 @@ randomCircuit(Rng &rng, std::uint32_t n, int gates)
 
 TEST(Engine, PortfolioUnknownChargesEveryRacedLane)
 {
-    // When every lane runs out of budget the verdict is Unknown, and
-    // the report must account the conflicts of ALL raced lanes - the
-    // losers burnt real time; dropping their counters under-reports
-    // the work done (and used to).  The adder conditions are hard
-    // enough that a 1-conflict budget cannot decide them.
+    // When the chosen lane runs out of budget the verdict is Unknown,
+    // and the report must still account the conflicts that lane
+    // spent, and name it: adder conditions go to the preprocessing
+    // lane B, whose per-condition solvers retire with the query, so
+    // their counters survive only through the harvest.  The adder
+    // conditions are hard enough that a 1-conflict budget cannot
+    // decide them.
     const auto program =
         lang::elaborateSource(circuits::adderQbrSource(12));
     const ir::QubitId first =
@@ -456,17 +517,24 @@ TEST(Engine, PortfolioUnknownChargesEveryRacedLane)
     options.jobs = 1;
     VerificationEngine engine(scope, options);
     bool saw_unknown = false;
+    std::int64_t charged = 0;
     for (ir::QubitId q :
          program.qubitsWithRole(lang::QubitRole::BorrowVerify)) {
         const QubitResult r = engine.verify(q);
+        charged += r.conflicts;
         if (r.verdict != Verdict::Unknown)
             continue;
         saw_unknown = true;
-        // Both lanes hit their 1-conflict budget: at least 2 total.
-        EXPECT_GE(r.conflicts, 2) << "qubit " << q;
+        // The chosen lane hit its 1-conflict budget.
+        EXPECT_EQ(1, r.lane) << "qubit " << q;
+        EXPECT_GE(r.conflicts, 1) << "qubit " << q;
     }
     EXPECT_TRUE(saw_unknown)
         << "budget too generous for this circuit; tighten the test";
+    // Cancelled speculative (6.2) queries spend conflicts no result
+    // is charged with, so the harvested totals can only be larger.
+    EXPECT_GE(engine.aggregateSolverStats().conflicts, charged);
+    EXPECT_GT(charged, 0);
 }
 
 class EngineProperty : public ::testing::TestWithParam<int>

@@ -24,6 +24,7 @@
 #include "core/scheduler.h"
 #include "lang/elaborate.h"
 #include "support/rng.h"
+#include "support/strings.h"
 
 namespace qb::core {
 namespace {
@@ -132,55 +133,6 @@ TEST(Scheduler, BandsInterleaveRoundRobin)
     EXPECT_EQ(expected, order);
 }
 
-TEST(Scheduler, FrontSubmissionJumpsItsBandBacklog)
-{
-    // The engine boosts the likely winner's next slice with
-    // front=true: it must run before the band's queued backlog, while
-    // normally-submitted tasks keep FIFO order among themselves.
-    std::vector<int> order;
-    WorkerGate gate;
-    {
-        Scheduler pool(1);
-        gate.hold(pool);
-        for (int i = 0; i < 3; ++i)
-            pool.submit(1u, [&order, i] { order.push_back(i); });
-        pool.submit(1u, [&order] { order.push_back(99); },
-                    /*front=*/true);
-        gate.release();
-    } // destructor drains
-    const std::vector<int> expected{99, 0, 1, 2};
-    EXPECT_EQ(expected, order);
-}
-
-TEST(Scheduler, FrontSubmissionBoostsItsSerialQueue)
-{
-    // Queue-level boost: a front submission puts the task ahead of
-    // its queue's pending tasks AND lifts the queue's next activation
-    // ahead of its band - without breaking per-queue exclusivity.
-    std::vector<int> order;
-    WorkerGate gate;
-    {
-        Scheduler pool(1);
-        gate.hold(pool);
-        const auto slow = pool.makeQueue(1u);
-        const auto hot = pool.makeQueue(1u);
-        for (int i = 0; i < 2; ++i)
-            pool.submit(slow, [&order, i] { order.push_back(i); });
-        pool.submit(hot, [&order] { order.push_back(10); });
-        pool.submit(hot, [&order] { order.push_back(42); },
-                    /*front=*/true);
-        gate.release();
-    } // destructor drains
-    // Both queues were already activated (at the band's back, in
-    // submission order) when the boost arrived, so slow's first task
-    // still runs first; the boost latches and applies at hot's NEXT
-    // activation push.  From there hot runs the boosted task ahead of
-    // its own FIFO backlog AND re-activates ahead of slow's pending
-    // turn - the requeued-slice scenario the engine's races hit.
-    const std::vector<int> expected{0, 42, 10, 1};
-    EXPECT_EQ(expected, order);
-}
-
 TEST(Scheduler, BandBacklogReportsQueuedWork)
 {
     std::vector<std::pair<unsigned, std::size_t>> backlog;
@@ -201,20 +153,6 @@ TEST(Scheduler, BandBacklogReportsQueuedWork)
     EXPECT_EQ(3u, backlog[0].second);
     EXPECT_EQ(9u, backlog[1].first);
     EXPECT_EQ(2u, backlog[1].second);
-}
-
-TEST(Scheduler, LaneWinRateStartsNeutralAndLearns)
-{
-    Scheduler pool(1);
-    // Unknown families sit at the 0.5 prior.
-    EXPECT_DOUBLE_EQ(0.5, pool.laneWinRate("laneX"));
-    // Two wins out of two races, damped by the prior: 3/4.
-    pool.recordLaneOutcome("laneX", true);
-    pool.recordLaneOutcome("laneX", true);
-    EXPECT_DOUBLE_EQ(0.75, pool.laneWinRate("laneX"));
-    pool.recordLaneOutcome("laneY", false);
-    EXPECT_DOUBLE_EQ(1.0 / 3.0, pool.laneWinRate("laneY"));
-    EXPECT_GT(pool.laneWinRate("laneX"), pool.laneWinRate("laneY"));
 }
 
 TEST(Scheduler, IndependentQueuesDoNotSerializeEachOther)
@@ -261,8 +199,8 @@ randomCircuit(Rng &rng, std::uint32_t n, int gates)
 class JobsDeterminism : public ::testing::TestWithParam<int>
 {};
 
-/** --jobs 1 and --jobs N must agree exactly on @p c, racing lanes A
- *  and B. */
+/** --jobs 1 and --jobs N must agree exactly on @p c, with lanes A
+ *  and B chosen per condition. */
 void
 expectJobsDeterminism(const Circuit &c)
 {
@@ -283,6 +221,8 @@ expectJobsDeterminism(const Circuit &c)
         EXPECT_EQ(r1.qubits[i].counterexample,
                   rn.qubits[i].counterexample)
             << "qubit " << i;
+        EXPECT_EQ(r1.qubits[i].lane, rn.qubits[i].lane)
+            << "qubit " << i;
     }
 }
 
@@ -290,9 +230,8 @@ TEST_P(JobsDeterminism, OneAndManyJobsIdenticalVerdictsAndCex)
 {
     // The acceptance contract of the scheduler: --jobs 1 and --jobs N
     // produce identical verdicts AND identical counterexamples.
-    // (Counterexamples come from the deterministic replay solve, so
-    // racing cannot leak in; the win-rate race order only permutes
-    // race submission, and the race winner is picked by lane index.)
+    // (Counterexamples come from the deterministic replay solve, and
+    // each condition's lane is a function of its cone alone.)
     Rng rng(GetParam() + 77000);
     expectJobsDeterminism(randomCircuit(rng, 6, 14));
 }
@@ -324,10 +263,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, JobsDeterminism,
 
 TEST(SchedulerEngine, StressManyQubitsPortfolio)
 {
-    // The deterministic verifyAll stress: many qubits, two racing
-    // lanes, a shared 4-worker pool, speculative (6.2) races and
-    // cross-qubit pipelining all at once.  CI runs this under ASan
-    // and TSan.
+    // The deterministic verifyAll stress: many qubits, two lanes, a
+    // shared 4-worker pool, speculative (6.2) queries and cross-qubit
+    // pipelining all at once.  CI runs this under ASan and TSan.
     const auto program =
         lang::elaborateSource(circuits::adderQbrSource(12));
     EngineOptions options = EngineOptions::portfolioAB();
@@ -361,33 +299,104 @@ TEST(SchedulerEngine, StressRandomCircuitsAgreeWithBruteForce)
     }
 }
 
+/**
+ * adder.qbr at @p n with one line of its final uncompute section
+ * dropped, once per distinct line: each mutant leaves some dirty
+ * qubits unsafe, so the runs below compare real counterexamples.
+ */
+std::vector<std::string>
+adderMutantSources(std::uint32_t n)
+{
+    const std::string source = circuits::adderQbrSource(n);
+    const std::size_t uncompute = source.find("// reverse");
+    std::vector<std::string> out;
+    for (const char *line :
+         {"CNOT[q[1], a[1]];\n", "    CCNOT[a[i - 1], q[i], a[i]];\n",
+          "    X[q[i]];\n", "    CNOT[q[i], a[i]];\n"}) {
+        const std::size_t at = source.rfind(line);
+        EXPECT_GT(at, uncompute) << line;
+        std::string mutant = source;
+        mutant.erase(at, std::string(line).size());
+        out.push_back(std::move(mutant));
+    }
+    return out;
+}
+
+/** Verdict, failed condition, counterexample and lane of every qubit
+ *  of @p got equal @p expected's. */
+void
+expectSameOutcomes(const ProgramResult &expected,
+                   const ProgramResult &got, bool compare_lanes,
+                   const std::string &what)
+{
+    ASSERT_EQ(expected.qubits.size(), got.qubits.size()) << what;
+    for (std::size_t i = 0; i < expected.qubits.size(); ++i) {
+        const QubitResult &e = expected.qubits[i];
+        const QubitResult &g = got.qubits[i];
+        EXPECT_EQ(e.verdict, g.verdict) << what << " " << e.name;
+        EXPECT_EQ(e.failed, g.failed) << what << " " << e.name;
+        EXPECT_EQ(e.counterexample, g.counterexample)
+            << what << " " << e.name;
+        if (compare_lanes) {
+            EXPECT_EQ(e.lane, g.lane) << what << " " << e.name;
+        }
+    }
+}
+
 TEST(SchedulerEngine, AdaptiveLanesMatchDefaultOrderExactly)
 {
-    // Races are ordered by the scheduler's lane-family win rates.  On
-    // a fresh pool every family sits at the neutral prior, so the
-    // first batch races in lane index order; a second batch over the
-    // SAME pool starts from the table the first one taught (the
-    // family keys are internal, so the warm path is probed
-    // end-to-end).  Verdicts, failed conditions and counterexamples
-    // must be byte-identical either way, and at --jobs 1 as at 2.
-    const auto program =
-        lang::elaborateSource(circuits::adderQbrSource(10));
-    EngineOptions options = EngineOptions::portfolioAB();
-    options.jobs = 1;
-    const ProgramResult expected = verifyAll(program, options);
-    const auto scheduler = std::make_shared<Scheduler>(2u);
-    for (const char *batch : {"cold", "warm"}) {
-        const ProgramResult got =
-            verifyAll(program, options, {}, false, scheduler, nullptr);
-        ASSERT_EQ(expected.qubits.size(), got.qubits.size()) << batch;
-        for (std::size_t i = 0; i < expected.qubits.size(); ++i) {
-            EXPECT_EQ(expected.qubits[i].verdict, got.qubits[i].verdict)
-                << batch << " qubit " << i;
-            EXPECT_EQ(expected.qubits[i].failed, got.qubits[i].failed)
-                << batch << " qubit " << i;
-            EXPECT_EQ(expected.qubits[i].counterexample,
-                      got.qubits[i].counterexample)
-                << batch << " qubit " << i;
+    // A two-lane session chooses one lane per condition; lane A alone
+    // is the default.  With an unlimited budget, verdicts, failed
+    // conditions and counterexamples must be byte-identical to a
+    // lane-A-only run: at --jobs 1, and on one shared two-worker pool
+    // reused for a second batch (any state a pool carried from one
+    // batch to the next would show there).
+    std::vector<std::string> sources = adderMutantSources(10);
+    sources.push_back(circuits::adderQbrSource(10));
+    for (const std::string &source : sources) {
+        const auto program = lang::elaborateSource(source);
+        EngineOptions lane_a =
+            EngineOptions::singleLane(VerifierOptions::laneA());
+        lane_a.jobs = 1;
+        const ProgramResult expected = verifyAll(program, lane_a);
+        EngineOptions both = EngineOptions::portfolioAB();
+        both.jobs = 1;
+        expectSameOutcomes(expected, verifyAll(program, both), false,
+                           "jobs 1");
+        const auto scheduler = std::make_shared<Scheduler>(2u);
+        for (const char *batch : {"cold", "warm"})
+            expectSameOutcomes(expected,
+                               verifyAll(program, both, {}, false,
+                                         scheduler, nullptr),
+                               false, batch);
+    }
+}
+
+TEST(SchedulerEngine, ChosenLanesAreIdenticalAcrossJobs)
+{
+    // Verdict, failed condition, counterexample AND the lane credited
+    // with each qubit agree between --jobs 1 and --jobs 4, with both
+    // lanes and with lane A alone: the lane choice reads the cone, not
+    // the schedule.
+    std::vector<std::string> sources = adderMutantSources(12);
+    for (const std::uint32_t n : {6u, 12u, 20u})
+        sources.push_back(circuits::adderQbrSource(n));
+    Rng rng(2121);
+    for (int i = 0; i < 50; ++i)
+        sources.push_back(circuits::randomQbrSource(rng));
+    for (const EngineOptions &base :
+         {EngineOptions::portfolioAB(),
+          EngineOptions::singleLane(VerifierOptions::laneA())}) {
+        EngineOptions serial = base;
+        EngineOptions parallel = base;
+        serial.jobs = 1;
+        parallel.jobs = 4;
+        for (std::size_t i = 0; i < sources.size(); ++i) {
+            const auto program = lang::elaborateSource(sources[i]);
+            expectSameOutcomes(verifyAll(program, serial),
+                               verifyAll(program, parallel), true,
+                               qb::format("%zu lane(s), source %zu",
+                                          base.lanes.size(), i));
         }
     }
 }
@@ -411,9 +420,10 @@ TEST(SchedulerEngine, NoThreadPerCondition)
     const std::size_t before = threadCount();
     if (before == 0)
         GTEST_SKIP() << "/proc/self/status not available";
-    // 11 qubits x 2 conditions x 2 lanes = 44 condition solves; the
-    // PR 1 engine would have spawned a thread for every one of them.
-    // The pool bound must hold at every observation point.
+    // 11 qubits x 2 conditions = 22 condition solves; an engine
+    // that spawned a thread per condition and lane would blow through
+    // the bound.  The pool bound must hold at every observation
+    // point.
     const auto program =
         lang::elaborateSource(circuits::adderQbrSource(12));
     EngineOptions options = EngineOptions::portfolioAB();
@@ -424,7 +434,7 @@ TEST(SchedulerEngine, NoThreadPerCondition)
     });
     EXPECT_GT(peak, 0u);
     // jobs workers, plus one for a sanitizer's background thread
-    // (TSan spawns one lazily).  44 per-condition threads would blow
+    // (TSan spawns one lazily).  22 per-condition threads would blow
     // straight through this.
     EXPECT_LE(peak, before + 2 + 1);
 }

@@ -20,6 +20,7 @@
  * input, socket or protocol errors.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <csignal>
@@ -27,6 +28,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -64,7 +67,9 @@ usage(const char *argv0)
         "\n"
         "options:\n"
         "  --lane A|B        solver lane (default A; see docs)\n"
-        "  --portfolio       race both lanes per query, first wins\n"
+        "  --portfolio       both lanes: each condition goes to\n"
+        "                    one, chosen from its cone's XOR:AND\n"
+        "                    ratio (adders to B, MCX ladders to A)\n"
         "  --jobs N          scheduler worker threads (default: all\n"
         "                    hardware threads); without --budget,\n"
         "                    verdicts and counterexamples are\n"
@@ -85,7 +90,8 @@ usage(const char *argv0)
         "  --quiet           only print the summary line\n"
         "  --dump-circuit    print the elaborated gate list\n"
         "  --no-cex          skip counterexample extraction\n"
-        "  --budget N        conflict budget per SAT call\n"
+        "  --budget N        conflict budget per SAT call (-1,\n"
+        "                    the default, is unlimited)\n"
         "  --inprocess N     persistent lanes vivify/subsume their\n"
         "                    clause DB every N queries (default 16,\n"
         "                    0 disables)\n"
@@ -145,22 +151,6 @@ readFile(const std::string &path)
     return out.str();
 }
 
-/** Strict non-negative decimal: digits only, nothing trailing, no
- *  overflow.  Rejects what std::atol would silently read as 0. */
-bool
-parseDecimal(const char *text, long &out)
-{
-    if (*text < '0' || *text > '9')
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const long value = std::strtol(text, &end, 10);
-    if (errno == ERANGE || *end != '\0')
-        return false;
-    out = value;
-    return true;
-}
-
 /** Everything the flag parser can express, for all three modes. */
 struct CliOptions
 {
@@ -184,7 +174,7 @@ struct CliOptions
     bool want_cex = true;
     bool shutdown_server = false;
     bool stats = false;
-    std::int64_t budget = -1;
+    long budget = -1;
     long jobs = 0;
     long inprocess = 16;
     bool binaryAnalysis = true;
@@ -238,8 +228,16 @@ engineOptionsFor(const CliOptions &cli)
     return options;
 }
 
+/** Letter of the lane at @p index of the session's lane list: the
+ *  one configured lane, or A/B of the portfolio. */
+char
+laneLetter(const CliOptions &cli, long long index)
+{
+    return cli.portfolio ? static_cast<char>('A' + index) : cli.lane[0];
+}
+
 void
-printQubitLine(const qb::core::QubitResult &r)
+printQubitLine(const CliOptions &cli, const qb::core::QubitResult &r)
 {
     std::printf("  %-10s %s", r.name.c_str(),
                 qb::core::verdictName(r.verdict));
@@ -251,7 +249,7 @@ printQubitLine(const qb::core::QubitResult &r)
                         : "|+>");
     }
     if (r.lane >= 0)
-        std::printf(" [lane %c]", 'A' + r.lane);
+        std::printf(" [lane %c]", laneLetter(cli, r.lane));
     std::printf("\n");
     if (r.counterexample) {
         std::printf("    counterexample input:");
@@ -334,7 +332,9 @@ runLocal(const CliOptions &cli)
     // Stream per-qubit lines as the engine produces them.
     qb::core::ResultObserver observer;
     if (!cli.quiet && !cli.json)
-        observer = printQubitLine;
+        observer = [&cli](const qb::core::QubitResult &r) {
+            printQubitLine(cli, r);
+        };
     const auto result =
         qb::core::verifyAll(program, options, observer, cli.clean);
     if (cli.json) {
@@ -513,7 +513,7 @@ readLine(int fd, std::string &buffer, std::string &line)
 
 /** Rebuild the local per-qubit text line from a `qubit` response. */
 void
-printQubitJson(const qb::server::JsonValue &q)
+printQubitJson(const CliOptions &cli, const qb::server::JsonValue &q)
 {
     using qb::server::JsonValue;
     const JsonValue *name = q.find("name");
@@ -531,8 +531,7 @@ printQubitJson(const qb::server::JsonValue &q)
     }
     if (const JsonValue *lane = q.find("lane");
         lane && lane->kind() == JsonValue::Kind::Number)
-        std::printf(" [lane %c]",
-                    static_cast<char>('A' + lane->asInt()));
+        std::printf(" [lane %c]", laneLetter(cli, lane->asInt()));
     std::printf("\n");
     if (const JsonValue *cex = q.find("counterexample");
         cex && cex->kind() == JsonValue::Kind::Array) {
@@ -678,7 +677,7 @@ runClient(const CliOptions &cli)
         if (kind == "qubit") {
             if (!cli.quiet && !cli.json)
                 if (const JsonValue *q = doc.find("qubit"))
-                    printQubitJson(*q);
+                    printQubitJson(cli, *q);
             continue;
         }
         if (kind != "result")
@@ -730,9 +729,41 @@ int
 run(int argc, char **argv)
 {
     CliOptions cli;
+    constexpr long kUnsignedMax = std::numeric_limits<unsigned>::max();
+    constexpr long kLongMax = std::numeric_limits<long>::max();
+    // Every numeric flag, with the range its value must fall in
+    // (parseDecimal: strict, so junk is a usage error, never 0).
+    const struct
+    {
+        const char *name;
+        long *value;
+        long min;
+        long max;
+    } numeric[] = {
+        {"--budget", &cli.budget, -1, kLongMax},
+        {"--jobs", &cli.jobs, 1, kUnsignedMax},
+        {"--inprocess", &cli.inprocess, 0, kUnsignedMax},
+        {"--analysis-window", &cli.analysisWindow, 0, kLongMax},
+        {"--parallel", &cli.parallel, 1, kUnsignedMax},
+        {"--queue", &cli.queue, 1, kLongMax},
+        {"--max-connections", &cli.maxConnections, 0, kLongMax},
+        {"--max-inflight", &cli.maxInflight, 0, kLongMax},
+        {"--idle-timeout", &cli.idleTimeout, 0, kUnsignedMax},
+        {"--result-cache", &cli.resultCache, 0, kLongMax},
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--quiet") {
+        const auto flag =
+            std::find_if(std::begin(numeric), std::end(numeric),
+                         [&arg](const auto &f) { return arg == f.name; });
+        if (flag != std::end(numeric)) {
+            if (i + 1 >= argc ||
+                !qb::parseDecimal(argv[++i], flag->min, flag->max,
+                                  *flag->value)) {
+                usage(argv[0]);
+                return 2;
+            }
+        } else if (arg == "--quiet") {
             cli.quiet = true;
         } else if (arg == "--dump-circuit") {
             cli.dump = true;
@@ -754,11 +785,6 @@ run(int argc, char **argv)
             cli.analysisSpec = arg.substr(std::strlen("--analysis="));
         } else if (arg == "--analysis" && i + 1 < argc) {
             cli.analysisSpec = argv[++i];
-        } else if (arg == "--analysis-window" && i + 1 < argc) {
-            if (!parseDecimal(argv[++i], cli.analysisWindow)) {
-                usage(argv[0]);
-                return 2;
-            }
         } else if (arg == "--json") {
             cli.json = true;
         } else if (arg == "--shutdown") {
@@ -777,59 +803,9 @@ run(int argc, char **argv)
                    i + 1 < argc) {
             cli.token = argv[++i];
             cli.tokenSet = true;
-        } else if (arg == "--max-connections" && i + 1 < argc) {
-            cli.maxConnections = std::atol(argv[++i]);
-            if (cli.maxConnections < 0) {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (arg == "--max-inflight" && i + 1 < argc) {
-            cli.maxInflight = std::atol(argv[++i]);
-            if (cli.maxInflight < 0) {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (arg == "--idle-timeout" && i + 1 < argc) {
-            cli.idleTimeout = std::atol(argv[++i]);
-            if (cli.idleTimeout < 0) {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (arg == "--result-cache" && i + 1 < argc) {
-            cli.resultCache = std::atol(argv[++i]);
-            if (cli.resultCache < 0) {
-                usage(argv[0]);
-                return 2;
-            }
         } else if (arg == "--lane" && i + 1 < argc) {
             cli.lane = argv[++i];
             if (cli.lane != "A" && cli.lane != "B") {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (arg == "--budget" && i + 1 < argc) {
-            cli.budget = std::atoll(argv[++i]);
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            cli.jobs = std::atol(argv[++i]);
-            if (cli.jobs < 1) {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (arg == "--inprocess" && i + 1 < argc) {
-            cli.inprocess = std::atol(argv[++i]);
-            if (cli.inprocess < 0) {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (arg == "--parallel" && i + 1 < argc) {
-            cli.parallel = std::atol(argv[++i]);
-            if (cli.parallel < 1) {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (arg == "--queue" && i + 1 < argc) {
-            cli.queue = std::atol(argv[++i]);
-            if (cli.queue < 1) {
                 usage(argv[0]);
                 return 2;
             }

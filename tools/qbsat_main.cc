@@ -16,14 +16,15 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "sat/dimacs.h"
 #include "sat/solver.h"
 #include "support/logging.h"
+#include "support/strings.h"
 
 namespace {
 
@@ -66,15 +67,20 @@ run(int argc, char **argv)
     std::string path;
     bool simplify = false;
     bool stats = false;
-    std::int64_t budget = -1;
+    long budget = -1;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--simplify") {
             simplify = true;
         } else if (arg == "--stats") {
             stats = true;
-        } else if (arg == "--budget" && i + 1 < argc) {
-            budget = std::atoll(argv[++i]);
+        } else if (arg == "--budget") {
+            // Strict: junk would otherwise read as a budget of 0.
+            if (i + 1 >= argc ||
+                !qb::parseDecimal(argv[++i], -1,
+                                  std::numeric_limits<long>::max(),
+                                  budget))
+                return usage(argv[0]);
         } else if (arg == "--dimacs" && i + 1 < argc &&
                    path.empty()) {
             path = argv[++i];

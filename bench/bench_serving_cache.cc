@@ -24,6 +24,7 @@
 #include "circuits/qbr_text.h"
 #include "core/engine.h"
 #include "core/scheduler.h"
+#include "server/options.h"
 #include "serving/serving.h"
 
 namespace {
@@ -34,12 +35,12 @@ runServe(benchmark::State &state, std::size_t result_capacity)
     const auto n = static_cast<std::uint32_t>(state.range(0));
     const std::uint32_t m = (n + 1) / 2;
     const std::string source = qb::circuits::mcxQbrSource(m);
-    qb::core::EngineOptions options =
-        qb::core::EngineOptions::portfolioAB();
-    for (auto &lane : options.lanes)
-        lane.wantCounterexample = false;
-    const std::string key =
-        qb::serving::ServingTier::optionsFingerprint(options, false);
+    qb::server::Settings settings;
+    settings.set(qb::server::Opt::Lane, "portfolio");
+    settings.set(qb::server::Opt::Counterexample, "false");
+    const qb::core::EngineOptions options =
+        qb::server::engineOptions(settings);
+    const std::string key = qb::server::fingerprint(settings);
 
     constexpr int kRepeats = 8;
     for (auto _ : state) {

@@ -1,5 +1,6 @@
 #include "server/protocol.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
@@ -358,53 +359,61 @@ parseOp(const std::string &op)
     fatal("unknown op '" + op + "'");
 }
 
-RequestOptions
-parseOptions(const JsonValue *node)
+/** Each member of @p node through its options-table row. */
+void
+parseOptions(const JsonValue *node, Settings &options)
 {
-    RequestOptions options;
     if (!node)
-        return options;
+        return;
     if (node->kind() != JsonValue::Kind::Object)
         fatal("'options' must be an object");
-    if (const JsonValue *lane = node->find("lane")) {
-        options.lane = lane->asString();
-        if (options.lane != "A" && options.lane != "B" &&
-            options.lane != "portfolio")
-            fatal("options.lane must be \"A\", \"B\" or "
-                  "\"portfolio\"");
+    const auto rows = optionRows();
+    for (const auto &[member, value] : node->members()) {
+        const auto row = std::find_if(
+            rows.begin(), rows.end(), [&](const flags::Row &r) {
+                return r.member && member == r.member;
+            });
+        if (row == rows.end())
+            fatal("unknown options member '" + member + "'");
+        // The JSON type must match the row's kind; the row's own
+        // parser then checks bounds and choices (a fractional number
+        // reaches it as "", which it rejects).
+        const auto want = row->kind == flags::Kind::Bool
+            ? JsonValue::Kind::Bool
+            : row->kind == flags::Kind::Int ? JsonValue::Kind::Number
+                                            : JsonValue::Kind::String;
+        const std::int64_t n = value.asInt(INT64_MIN);
+        const std::string text = want == JsonValue::Kind::Bool
+            ? (value.asBool() ? "true" : "false")
+            : want == JsonValue::Kind::String ? value.asString()
+            : double(n) == value.asNumber()   ? std::to_string(n)
+                                              : "";
+        if (value.kind() != want ||
+            !options.set(static_cast<Opt>(row - rows.begin()), text))
+            fatal("options." + member + " must be " +
+                  flags::describe(*row));
     }
-    if (const JsonValue *clean = node->find("clean")) {
-        options.clean = clean->asBool();
-        options.cleanSet = true;
-    }
-    if (const JsonValue *cex = node->find("counterexample")) {
-        options.counterexample = cex->asBool(true);
-        options.counterexampleSet = true;
-    }
-    if (const JsonValue *budget = node->find("budget")) {
-        options.budget = budget->asInt(-1);
-        options.budgetSet = true;
-    }
-    return options;
 }
 
 } // namespace
 
 Request
-parseRequest(const std::string &line)
+parseRequest(const std::string &line, std::int64_t *frame_id)
 {
     const JsonValue doc = JsonValue::parse(line);
     if (doc.kind() != JsonValue::Kind::Object)
         fatal("request must be a JSON object");
-    const JsonValue *op = doc.find("op");
-    if (!op || op->kind() != JsonValue::Kind::String)
-        fatal("request is missing string field 'op'");
     Request request;
-    request.op = parseOp(op->asString());
     if (const JsonValue *id = doc.find("id"))
         request.id = id->asInt(-1);
     if (request.id < 0)
         fatal("request is missing non-negative field 'id'");
+    if (frame_id)
+        *frame_id = request.id;
+    const JsonValue *op = doc.find("op");
+    if (!op || op->kind() != JsonValue::Kind::String)
+        fatal("request is missing string field 'op'");
+    request.op = parseOp(op->asString());
     switch (request.op) {
       case RequestOp::Verify: {
         const JsonValue *source = doc.find("source");
@@ -413,7 +422,7 @@ parseRequest(const std::string &line)
         request.source = source->asString();
         if (const JsonValue *name = doc.find("name"))
             request.name = name->asString();
-        request.options = parseOptions(doc.find("options"));
+        parseOptions(doc.find("options"), request.options);
         break;
       }
       case RequestOp::Cancel: {

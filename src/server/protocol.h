@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/verifier.h"
+#include "server/options.h"
 
 namespace qb::server {
 
@@ -61,6 +62,8 @@ class JsonValue
     const JsonValue *find(const std::string &key) const;
     /** Array elements; empty for non-arrays. */
     const std::vector<JsonValue> &items() const;
+    /** Object members in document order; empty for non-objects. */
+    const auto &members() const { return members_; }
 
   private:
     friend class JsonParser;
@@ -159,29 +162,6 @@ struct StatsSnapshot
     /** @} */
 };
 
-/**
- * Per-request verification options: the subset of EngineOptions a
- * client may choose per program.  Fields left at their defaults defer
- * to the server's command-line configuration (pool size and
- * inprocessing interval are server-wide and not per-request).
- */
-struct RequestOptions
-{
-    /** "A", "B" or "portfolio" (both, chosen per condition); empty =
-     *  server default. */
-    std::string lane;
-    /** Also check alloc'd clean ancillas; unset = server default. */
-    bool clean = false;
-    bool cleanSet = false;
-    /** Extract counterexamples on Unsafe; unset = server default. */
-    bool counterexample = true;
-    bool counterexampleSet = false;
-    /** Conflict budget per SAT call (-1 = unlimited); unset = server
-     *  default. */
-    std::int64_t budget = -1;
-    bool budgetSet = false;
-};
-
 /** One parsed request frame. */
 struct Request
 {
@@ -196,15 +176,21 @@ struct Request
     std::int64_t target = -1;
     /** Auth: the presented token. */
     std::string token;
-    RequestOptions options;
+    /** Verify: the `options` members given, over the server's
+     *  defaults (only rows with a protocol member are ever set). */
+    Settings options;
 };
 
 /**
- * Parse one request line.
- * @throws FatalError on malformed JSON, unknown `op`, missing or
- *         ill-typed fields.
+ * Parse one request line; each `options` member goes through its
+ * table row (server/options.h).  @p frame_id, when non-null, receives
+ * the frame's id as soon as it is known, so a bad frame can be
+ * answered for that id.
+ * @throws FatalError on malformed JSON, unknown `op` or `options`
+ *         member, missing or ill-typed fields and rejected values.
  */
-Request parseRequest(const std::string &line);
+Request parseRequest(const std::string &line,
+                     std::int64_t *frame_id = nullptr);
 
 /** @name Response frames (each returns one line WITHOUT the trailing
  *        '\n'; the writer appends it). @{ */

@@ -196,7 +196,6 @@ struct Server::Impl
                     const std::string &line);
     void workerLoop();
     void serveRequest(QueuedRequest item);
-    core::EngineOptions engineOptionsFor(const RequestOptions &req);
     void dropInflight(std::uint64_t connection_id, std::int64_t id);
     void cancelConnection(std::uint64_t connection_id);
     void requestStop();
@@ -375,11 +374,12 @@ Server::Impl::handleLine(
     const std::string &line)
 {
     Request request;
+    std::int64_t frame_id = -1;
     try {
-        request = parseRequest(line);
+        request = parseRequest(line, &frame_id);
     } catch (const std::exception &e) {
         ++statErrors;
-        connection->sendLine(errorResponse(-1, e.what()));
+        connection->sendLine(errorResponse(frame_id, e.what()));
         return; // a bad frame never stops the service
     }
     switch (request.op) {
@@ -559,41 +559,6 @@ Server::Impl::handleLine(
     }
 }
 
-core::EngineOptions
-Server::Impl::engineOptionsFor(const RequestOptions &request)
-{
-    const core::EngineOptions &base = options.engine;
-    core::EngineOptions chosen = base;
-    // A lane override replaces only the lane set: server-wide
-    // policies (analysis, binary analysis, inprocessing) stay as
-    // configured.
-    if (request.lane == "A")
-        chosen.lanes = {core::VerifierOptions::laneA()};
-    else if (request.lane == "B")
-        chosen.lanes = {core::VerifierOptions::laneB()};
-    else if (request.lane == "portfolio")
-        chosen.lanes = core::EngineOptions::portfolioAB().lanes;
-    chosen.jobs = options.jobs;
-    const bool want_cex = request.counterexampleSet
-        ? request.counterexample
-        : (!base.lanes.empty() &&
-           base.lanes.front().wantCounterexample);
-    const std::int64_t budget = request.budgetSet
-        ? request.budget
-        : (base.lanes.empty() ? -1
-                              : base.lanes.front().conflictBudget);
-    for (core::VerifierOptions &lane : chosen.lanes) {
-        lane.wantCounterexample = want_cex;
-        lane.conflictBudget = budget;
-    }
-    // Distinct band per request: the pool round-robins bands, so one
-    // program's backlog cannot starve another's first query.
-    chosen.fairnessBand =
-        1 + (bandCounter.fetch_add(1, std::memory_order_relaxed) &
-             0x3ff);
-    return chosen;
-}
-
 void
 Server::Impl::dropInflight(std::uint64_t connection_id,
                            std::int64_t id)
@@ -652,11 +617,19 @@ Server::Impl::serveRequest(QueuedRequest item)
         return;
     }
 
-    const core::EngineOptions engine_options =
-        engineOptionsFor(request.options);
-    const bool clean = request.options.cleanSet
-        ? request.options.clean
-        : options.checkCleanAncillas;
+    // The request's members over the server's defaults; the pool and
+    // this request's fairness band come from the server.
+    Settings settings = options.defaults;
+    for (std::size_t i = 0; i < settings.values.size(); ++i)
+        if (request.options.values[i].set)
+            settings.values[i] = request.options.values[i];
+    core::EngineOptions engine_options = engineOptions(settings);
+    engine_options.jobs = options.jobs;
+    // Distinct band per request: the pool round-robins bands, so one
+    // program's backlog cannot starve another's first query.
+    engine_options.fairnessBand =
+        1 + (bandCounter.fetch_add(1, std::memory_order_relaxed) &
+             0x3ff);
     const std::int64_t id = request.id;
     const auto &cancel = item.cancel;
     const core::ResultObserver observer =
@@ -674,11 +647,10 @@ Server::Impl::serveRequest(QueuedRequest item)
     // runs on this worker thread, off the SAT pool.
     serving::ServingTier::Outcome outcome;
     try {
-        outcome = tier.verify(
-            request.source, engine_options, clean,
-            serving::ServingTier::optionsFingerprint(engine_options,
-                                                     clean),
-            observer, scheduler, item.cancel);
+        outcome = tier.verify(request.source, engine_options,
+                              settings.on(Opt::Clean),
+                              fingerprint(settings), observer,
+                              scheduler, item.cancel);
     } catch (const std::exception &e) {
         finish();
         ++statErrors;

@@ -44,7 +44,7 @@
 #include <memory>
 #include <string>
 
-#include "core/engine.h"
+#include "server/options.h"
 
 namespace qb::server {
 
@@ -85,16 +85,10 @@ struct ServerOptions
     /** Serving-tier result cache capacity (0 disables). */
     std::size_t resultCacheCapacity = 256;
 
-    /**
-     * Per-request verification defaults (lanes, budget,
-     * counterexamples, inprocessing interval).  A request's `options`
-     * object overrides the overridable subset per program; `jobs` is
-     * ignored here - the pool is sized by ServerOptions::jobs.
-     */
-    core::EngineOptions engine;
-
-    /** Default for requests that do not set `options.clean`. */
-    bool checkCleanAncillas = false;
+    /** Per-request defaults and server-wide settings (options.h),
+     *  under each request's `options` members.  Its Jobs row is not
+     *  read: the pool is sized by `jobs` below. */
+    Settings defaults;
 
     /** Bound on admitted-but-unstarted requests (backpressure). */
     std::size_t queueCapacity = 16;

@@ -3,44 +3,12 @@
 #include <chrono>
 
 #include "lang/elaborate.h"
-#include "support/strings.h"
 
 namespace qb::serving {
 
 ServingTier::ServingTier(ServingOptions options)
     : results_(options.resultCacheCapacity)
 {
-}
-
-std::string
-ServingTier::optionsFingerprint(const core::EngineOptions &engine_opts,
-                                bool check_clean)
-{
-    // Everything that can change a VERDICT or a report field other
-    // than timing goes in; scheduling-only knobs (fairnessBand, jobs,
-    // inprocessInterval) stay out so they do not splinter the cache.
-    // Lane order matters (reports name lanes by index, and the
-    // per-condition lane choice picks the first lane of each kind), so
-    // lanes are fingerprinted in order.
-    std::string key = check_clean ? "clean;" : "dirty;";
-    // Static-analysis options change report fields (the "analysis"
-    // discharge counters) even though verdicts are unaffected, so they
-    // key the cache too.
-    const analysis::AnalysisOptions &an = engine_opts.analysis;
-    key += format("an%d;", an.affine ? 1 : 0);
-    for (const core::VerifierOptions &lane : engine_opts.lanes) {
-        const sat::SolverConfig &s = lane.solver;
-        key += format(
-            "enc%d.x%u.cb%lld.cex%d.vs%d.ph%d.p0%d.pre%d.luby%d."
-            "rb%lld.vd%g;",
-            static_cast<int>(lane.encoding), lane.xorChunk,
-            static_cast<long long>(lane.conflictBudget),
-            lane.wantCounterexample ? 1 : 0, s.useVsids ? 1 : 0,
-            s.phaseSaving ? 1 : 0, s.initialPhaseTrue ? 1 : 0,
-            s.preprocess ? 1 : 0, s.lubyRestarts ? 1 : 0,
-            static_cast<long long>(s.restartBase), s.varDecay);
-    }
-    return key;
 }
 
 ServingTier::Outcome

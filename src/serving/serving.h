@@ -76,8 +76,8 @@ class ServingTier
      *                     the request's fairness band).
      * @param check_clean  clean-ancilla checking on/off.
      * @param options_key  fingerprint of every option that affects
-     *                     the result (see optionsFingerprint());
-     *                     the result cache's key half.
+     *                     the result (server::fingerprint()); the
+     *                     result cache's key half.
      * @param observer     per-qubit streaming callback (replayed
      *                     verbatim on a result hit).
      * @param scheduler    the process-wide pool.
@@ -91,18 +91,6 @@ class ServingTier
                    const core::ResultObserver &observer,
                    const std::shared_ptr<core::Scheduler> &scheduler,
                    const std::shared_ptr<core::CancelSource> &cancel);
-
-    /**
-     * Fingerprint of the options that affect a verification RESULT:
-     * lane configuration, clean-ancilla checking,
-     * counterexample extraction, conflict budget and the static
-     * analysis options (which decide the report's discharge
-     * counters).  Deliberately excludes fairnessBand (scheduling
-     * only) and pool sizing.
-     */
-    static std::string
-    optionsFingerprint(const core::EngineOptions &engine_opts,
-                       bool check_clean);
 
     CacheCounters resultCounters() const;
 

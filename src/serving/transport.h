@@ -69,6 +69,13 @@ std::unique_ptr<Listener> makeUnixListener(const std::string &path);
 std::unique_ptr<Listener>
 makeTcpListener(const std::string &host_port);
 
+/** @name The client side: a connected stream socket to a daemon's
+ *  Unix socket @p path, or to TCP "host:port" (an empty host is the
+ *  loopback).  @throws FatalError naming the address on failure. @{ */
+int connectUnix(const std::string &path);
+int connectTcp(const std::string &host_port);
+/** @} */
+
 } // namespace qb::serving
 
 #endif // QB_SERVING_TRANSPORT_H

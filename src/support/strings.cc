@@ -1,11 +1,9 @@
 #include "support/strings.h"
 
-#include <cerrno>
 #include <charconv>
 #include <clocale>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace qb {
 
@@ -85,24 +83,6 @@ join(const std::vector<std::string> &parts, const std::string &sep)
         out += parts[i];
     }
     return out;
-}
-
-bool
-parseDecimal(const char *text, long min, long max, long &out)
-{
-    if (min < 0 && std::strcmp(text, "-1") == 0) {
-        out = -1;
-        return true;
-    }
-    if (*text < '0' || *text > '9')
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const long value = std::strtol(text, &end, 10);
-    if (errno == ERANGE || *end != '\0' || value < min || value > max)
-        return false;
-    out = value;
-    return true;
 }
 
 } // namespace qb

@@ -38,15 +38,6 @@ std::string join(const std::vector<std::string> &parts,
  */
 std::string jsonEscape(const std::string &s);
 
-/**
- * Strict decimal for a command-line flag: ASCII digits only (or
- * exactly "-1" when @p min is -1, the "unlimited" spelling), nothing
- * trailing, no overflow, and within [@p min, @p max].  Rejects the
- * junk that std::atol would silently read as 0.  Writes @p out only
- * on success.
- */
-bool parseDecimal(const char *text, long min, long max, long &out);
-
 } // namespace qb
 
 #endif // QB_SUPPORT_STRINGS_H

@@ -31,7 +31,7 @@
 #include "core/verifier.h"
 #include "ir/circuit_index.h"
 #include "lang/elaborate.h"
-#include "serving/serving.h"
+#include "server/options.h"
 #include "sim/classical.h"
 #include "support/rng.h"
 #include "support/strings.h"
@@ -1434,43 +1434,13 @@ TEST(Lint, QubitNeverReadMatchesTheBackwardTraceReference)
 
 TEST(ServingFingerprint, AnalysisOptionsAreResultAffecting)
 {
-    core::EngineOptions base;
-    core::EngineOptions off;
-    off.analysis = AnalysisOptions::none();
-
-    const auto fp = [](const core::EngineOptions &o) {
-        return serving::ServingTier::optionsFingerprint(o, false);
-    };
-    EXPECT_NE(fp(base), fp(off));
-    EXPECT_EQ(fp(base), fp(core::EngineOptions{}));
-}
-
-TEST(ServingFingerprint, EveryAnalysisOptionsFieldIsResultAffecting)
-{
-    // Compile-time completeness gate: the structured binding names
-    // every AnalysisOptions field, so adding or removing one fails to
-    // compile here.  Update in lockstep: the binding, the per-field
-    // flips below and the "an..." encoder in
-    // ServingTier::optionsFingerprint().
-    [[maybe_unused]] const auto [affine_field] = AnalysisOptions{};
-
-    const auto fp = [](const core::EngineOptions &o) {
-        return serving::ServingTier::optionsFingerprint(o, false);
-    };
-    const core::EngineOptions base;
-    const auto flipped = [&fp](auto mutate) {
-        core::EngineOptions o;
-        mutate(o.analysis);
-        return fp(o);
-    };
-    const std::string affine =
-        flipped([](AnalysisOptions &a) { a.affine = false; });
-    // Each single-field flip changes the key, and no two flips
-    // collide with each other.
-    const std::string keys[] = {fp(base), affine};
-    for (std::size_t i = 0; i < std::size(keys); ++i)
-        for (std::size_t j = i + 1; j < std::size(keys); ++j)
-            EXPECT_NE(keys[i], keys[j]) << i << " vs " << j;
+    const server::Settings base;
+    server::Settings off;
+    ASSERT_TRUE(off.set(server::Opt::Analysis, "off"));
+    EXPECT_FALSE(server::engineOptions(off).analysis.affine);
+    EXPECT_NE(server::fingerprint(base), server::fingerprint(off));
+    EXPECT_EQ(server::fingerprint(base),
+              server::fingerprint(server::Settings{}));
 }
 
 } // namespace

@@ -15,6 +15,8 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +26,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "analysis/lint.h"
 #include "circuits/qbr_text.h"
 #include "core/engine.h"
 #include "core/report.h"
@@ -131,23 +134,21 @@ TEST(ParseRequest, VerifyWithOptions)
     EXPECT_EQ(7, r.id);
     EXPECT_EQ("p", r.name);
     EXPECT_EQ("X[q];", r.source);
-    EXPECT_EQ("portfolio", r.options.lane);
-    EXPECT_TRUE(r.options.clean);
-    EXPECT_TRUE(r.options.cleanSet);
-    EXPECT_EQ(500, r.options.budget);
-    EXPECT_TRUE(r.options.budgetSet);
-    EXPECT_FALSE(r.options.counterexample);
-    EXPECT_TRUE(r.options.counterexampleSet);
+    EXPECT_EQ("portfolio", r.options.text(Opt::Lane));
+    EXPECT_TRUE(r.options.on(Opt::Clean));
+    EXPECT_TRUE(r.options[Opt::Clean].set);
+    EXPECT_EQ(500, r.options.number(Opt::Budget));
+    EXPECT_TRUE(r.options[Opt::Budget].set);
+    EXPECT_FALSE(r.options.on(Opt::Counterexample));
+    EXPECT_TRUE(r.options[Opt::Counterexample].set);
 }
 
 TEST(ParseRequest, DefaultsAreUnset)
 {
     const Request r = parseRequest(
         R"({"op": "verify", "id": 0, "source": ""})");
-    EXPECT_TRUE(r.options.lane.empty());
-    EXPECT_FALSE(r.options.cleanSet);
-    EXPECT_FALSE(r.options.budgetSet);
-    EXPECT_FALSE(r.options.counterexampleSet);
+    for (const flags::Value &value : r.options.values)
+        EXPECT_FALSE(value.set);
 }
 
 TEST(ParseRequest, StatsOpParses)
@@ -200,6 +201,40 @@ TEST(ParseRequest, RejectsBadFrames)
     for (const char *text : bad)
         EXPECT_THROW(parseRequest(text), FatalError)
             << "accepted: " << text;
+}
+
+TEST(ParseRequest, OptionsAreStrictAndNameTheFrameId)
+{
+    // Each member must have its row's JSON type and pass the row's
+    // bounds or choices; an unknown member is an error too.  The id
+    // is known before the options fail, so the error can name it.
+    const char *bad[] = {
+        R"("budget": "100")", R"("budget": -7)",
+        R"("budget": 2.5)",   R"("budget": 1e300)",
+        R"("clean": 1)",      R"("counterexample": "no")",
+        R"("bogus": 1)",      R"("lane": 5)",
+        R"("lane": "C")",     R"("jobs": 2)",
+    };
+    for (const char *member : bad) {
+        std::int64_t id = -1;
+        EXPECT_THROW(parseRequest(format(R"({"op": "verify", "id": 4, )"
+                                         R"("source": "", "options": {%s}})",
+                                         member),
+                                  &id),
+                     FatalError)
+            << "accepted: " << member;
+        EXPECT_EQ(4, id) << member;
+    }
+    std::int64_t id = -1;
+    EXPECT_THROW(parseRequest(R"({"op": "explode", "id": 5})", &id),
+                 FatalError);
+    EXPECT_EQ(5, id) << "an unknown op is answered for its id too";
+    const Request r = parseRequest(
+        R"({"op": "verify", "id": 4, "source": "", "options": {)"
+        R"("budget": -1, "lane": "B", "clean": false}})");
+    EXPECT_EQ(-1, r.options.number(Opt::Budget));
+    EXPECT_EQ("B", r.options.text(Opt::Lane));
+    EXPECT_TRUE(r.options[Opt::Clean].set);
 }
 
 // ======================================================== request queue
@@ -584,7 +619,7 @@ TEST(Server, LaneOverrideKeepsServerWideAnalysisPolicy)
     ServerOptions options;
     options.socketPath = testSocketPath("laneanalysis");
     options.jobs = 1;
-    options.engine.analysis = analysis::AnalysisOptions::none();
+    ASSERT_TRUE(options.defaults.set(Opt::Analysis, "off"));
     Server server(std::move(options));
     server.start();
 
@@ -1065,27 +1100,83 @@ TEST(ServingCache, ResultCacheKeysOnSourceHashAndOptions)
         << "source byte-compare guards hash collisions";
 }
 
-TEST(ServingTier, OptionsFingerprintSeparatesResultAffectingKnobs)
+/** A valid value of @p row other than @p current. */
+std::string
+otherValue(const flags::Row &row, const flags::Value &current)
 {
-    const core::EngineOptions base =
-        core::EngineOptions::portfolioAB();
-    const std::string key =
-        serving::ServingTier::optionsFingerprint(base, false);
-    EXPECT_EQ(key,
-              serving::ServingTier::optionsFingerprint(base, false));
-    EXPECT_NE(key,
-              serving::ServingTier::optionsFingerprint(base, true));
-    core::EngineOptions budgeted = base;
-    for (auto &lane : budgeted.lanes)
-        lane.conflictBudget = 100;
-    EXPECT_NE(key, serving::ServingTier::optionsFingerprint(
-                       budgeted, false));
-    // Scheduling-only knobs must NOT splinter the cache.
-    core::EngineOptions scheduling = base;
-    scheduling.fairnessBand = 77;
-    scheduling.jobs = 9;
-    EXPECT_EQ(key, serving::ServingTier::optionsFingerprint(
-                       scheduling, false));
+    switch (row.kind) {
+      case flags::Kind::Bool:
+        return current.number != 0 ? "false" : "true";
+      case flags::Kind::Int:
+        return std::to_string(current.number == row.min ? row.max
+                                                        : row.min);
+      case flags::Kind::Enum: {
+        std::istringstream choices(row.choices);
+        std::string choice;
+        while (std::getline(choices, choice, '|'))
+            if (choice != current.text)
+                return choice;
+        break;
+      }
+      default:
+        break;
+    }
+    return current.text + "x";
+}
+
+TEST(OptionsTable, EveryFingerprintedRowKeysTheResultCache)
+{
+    // Derived from the table: flipping any fingerprinted row changes
+    // the result-cache key and no two flips collide; flipping any
+    // other row (the pool size among them) leaves the key alone.  The
+    // fairness band is no row at all: the server sets it per request
+    // on the resolved engine options, after the key is built.
+    const auto rows = optionRows();
+    const Settings base;
+    std::set<std::string> keys{fingerprint(base)};
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        if (rows[i].kind == flags::Kind::Alias)
+            continue;
+        Settings flipped;
+        ASSERT_TRUE(flipped.set(static_cast<Opt>(i),
+                                otherValue(rows[i], base.values[i])))
+            << rows[i].flag;
+        if (rows[i].fingerprint) {
+            EXPECT_TRUE(keys.insert(fingerprint(flipped)).second)
+                << rows[i].flag << " collides or leaves the key alone";
+        } else {
+            EXPECT_EQ(fingerprint(base), fingerprint(flipped))
+                << rows[i].flag;
+            // Whatever a request may choose changes its result.
+            EXPECT_EQ(nullptr, rows[i].member) << rows[i].flag;
+        }
+    }
+    EXPECT_FALSE(rows[static_cast<std::size_t>(Opt::Jobs)].fingerprint);
+}
+
+TEST(OptionsTable, DefaultsResolveToTheLibraryDefaults)
+{
+    const Settings table;
+    const core::EngineOptions resolved = engineOptions(table);
+    const core::EngineOptions library;
+    EXPECT_EQ(library.jobs, resolved.jobs);
+    EXPECT_EQ(library.inprocessInterval, resolved.inprocessInterval);
+    EXPECT_EQ(library.binaryAnalysis, resolved.binaryAnalysis);
+    EXPECT_EQ(library.analysis.affine, resolved.analysis.affine);
+    ASSERT_EQ(library.lanes.size(), resolved.lanes.size());
+    EXPECT_EQ(library.lanes[0].wantCounterexample,
+              resolved.lanes[0].wantCounterexample);
+    EXPECT_EQ(library.lanes[0].conflictBudget,
+              resolved.lanes[0].conflictBudget);
+    EXPECT_EQ(analysis::LintOptions{}.permutationWindow,
+              static_cast<unsigned long>(table.number(Opt::AnalysisWindow)));
+    const ServerOptions server;
+    EXPECT_EQ(server.concurrency,
+              static_cast<unsigned long>(table.number(Opt::Parallel)));
+    EXPECT_EQ(server.queueCapacity,
+              static_cast<unsigned long>(table.number(Opt::Queue)));
+    EXPECT_EQ(server.resultCacheCapacity,
+              static_cast<unsigned long>(table.number(Opt::ResultCache)));
 }
 
 TEST(ServingTier, CountsOneResultCacheOutcomePerRequest)
@@ -1096,8 +1187,7 @@ TEST(ServingTier, CountsOneResultCacheOutcomePerRequest)
     serving::ServingTier tier({256});
     const auto scheduler = std::make_shared<core::Scheduler>(1u);
     const core::EngineOptions options;
-    const std::string key =
-        serving::ServingTier::optionsFingerprint(options, false);
+    const std::string key = fingerprint(Settings{});
     const std::string sources[] = {circuits::adderQbrSource(3),
                                    circuits::mcxQbrSource(4),
                                    kUnsafeSource};
@@ -1128,6 +1218,46 @@ fetchStats(TestClient &client, std::int64_t id)
     }
     ADD_FAILURE() << "stream ended before the stats frame";
     return JsonValue{};
+}
+
+TEST(Server, MalformedOptionsFailTheirRequestAndKeepServing)
+{
+    ServerOptions options;
+    options.socketPath = testSocketPath("badoptions");
+    options.jobs = 1;
+    Server server(std::move(options));
+    server.start();
+
+    TestClient client(server.socketPath());
+    // Each member is malformed: its request gets one error frame for
+    // its id and runs nothing, and the connection keeps serving.
+    const char *bad[] = {
+        R"("budget": "100")", R"("budget": -7)",
+        R"("budget": 2.5)",   R"("clean": 1)",
+        R"("counterexample": "no")", R"("bogus": 1)",
+        R"("lane": 5)",
+    };
+    std::int64_t id = 1;
+    for (const char *member : bad) {
+        client.send(verifyRequestLine(id, kUnsafeSource, member));
+        const auto frames = client.collect(id);
+        ASSERT_EQ(1u, frames.size()) << member;
+        EXPECT_EQ("error", frames[0].find("type")->asString())
+            << member;
+        ++id;
+    }
+    client.send(verifyRequestLine(id, circuits::adderQbrSource(4),
+                                  R"("budget": 100000)"));
+    const auto frames = client.collect(id);
+    EXPECT_EQ("result", frames.back().find("type")->asString());
+    const JsonValue stats = fetchStats(client, id + 1);
+    EXPECT_EQ(1, stats.find("caches")
+                     ->find("result")
+                     ->find("entries")
+                     ->asInt(-1));
+    server.shutdown();
+    EXPECT_EQ(std::size(bad), server.counters().errors);
+    EXPECT_EQ(1u, server.counters().served);
 }
 
 TEST(Server, ResultCacheHitIsByteIdenticalAndCounted)

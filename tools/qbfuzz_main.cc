@@ -17,112 +17,87 @@
  * harness proves it would notice a real bug.
  */
 
+#include <algorithm>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "support/flags.h"
 #include "support/fuzz.h"
 #include "support/logging.h"
 
 namespace {
 
-[[nodiscard]] int
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [options]\n"
-        "  --seed N               campaign seed (default 1)\n"
-        "  --qbr N                random program cases (default 250)\n"
-        "  --cnf N                random CNF cases (default 250)\n"
-        "  --analysis N           analysis-on/off differential "
-        "cases (default 250)\n"
-        "  --jobs N               worker threads; 0 = hardware "
-        "(default 1)\n"
-        "  --out DIR              write shrunk reproducers here "
-        "(must exist)\n"
-        "  --max-vars N           CNF generator variable cap "
-        "(default 16)\n"
-        "  --ratio R              CNF clauses-per-variable "
-        "(default 4.2)\n"
-        "  --binary-prob P        binary-clause probability "
-        "(default 0.45)\n"
-        "  --brute-max N          brute-force CNFs up to N vars "
-        "(default 12)\n"
-        "  --max-disagreements N  stop shrinking after N failures "
-        "(default 4)\n"
-        "  --inject-cnf-bug       sabotage one lane (harness "
-        "self-test)\n",
-        argv0);
-    return 2;
-}
+using qb::flags::Kind;
+
+constexpr long kLong = LONG_MAX;
+
+/** The rows of kRows, in order. */
+enum Flag { Seed, Qbr, Cnf, Analysis, Jobs, Out, MaxVars, Ratio,
+            BinaryProb, BruteMax, MaxDisagreements, InjectCnfBug };
+
+const qb::flags::Row kRows[] = {
+    {"--seed", Kind::Int, "1", 0, kLong, nullptr, "N",
+     "campaign seed (default 1)"},
+    {"--qbr", Kind::Int, "250", 0, kLong, nullptr, "N",
+     "random program cases (default 250)"},
+    {"--cnf", Kind::Int, "250", 0, kLong, nullptr, "N",
+     "random CNF cases (default 250)"},
+    {"--analysis", Kind::Int, "250", 0, kLong, nullptr, "N",
+     "analysis-on/off differential cases (default 250)"},
+    {"--jobs", Kind::Int, "1", 0, UINT_MAX, nullptr, "N",
+     "worker threads; 0 = hardware (default 1)"},
+    {"--out", Kind::Text, "", 0, 0, nullptr, "DIR",
+     "write shrunk reproducers here (must exist)"},
+    {"--max-vars", Kind::Int, "16", 3, INT_MAX, nullptr, "N",
+     "CNF generator variable cap, at least 3 (default 16)"},
+    {"--ratio", Kind::Real, "4.2", 0, 1000, nullptr, "R",
+     "CNF clauses-per-variable (default 4.2)"},
+    {"--binary-prob", Kind::Real, "0.45", 0, 1, nullptr, "P",
+     "binary-clause probability (default 0.45)"},
+    {"--brute-max", Kind::Int, "12", 0, 63, nullptr, "N",
+     "brute-force CNFs up to N vars, at most 63 (default 12)"},
+    {"--max-disagreements", Kind::Int, "4", 0, kLong, nullptr, "N",
+     "stop shrinking after N failures (default 4)"},
+    {"--inject-cnf-bug", Kind::Bool, "false", 0, 0, nullptr, nullptr,
+     "sabotage one lane (harness self-test)"},
+};
+static_assert(std::size(kRows) == InjectCnfBug + 1);
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    qb::fuzz::FuzzOptions options;
-    try {
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            const auto next = [&]() -> const char * {
-                if (i + 1 >= argc)
-                    throw std::invalid_argument(
-                        "missing value for " + arg);
-                return argv[++i];
-            };
-            if (arg == "--seed")
-                options.seed = std::strtoull(next(), nullptr, 10);
-            else if (arg == "--qbr")
-                options.qbrCases =
-                    std::strtoull(next(), nullptr, 10);
-            else if (arg == "--cnf")
-                options.cnfCases =
-                    std::strtoull(next(), nullptr, 10);
-            else if (arg == "--analysis")
-                options.analysisCases =
-                    std::strtoull(next(), nullptr, 10);
-            else if (arg == "--jobs")
-                options.jobs = static_cast<unsigned>(
-                    std::strtoul(next(), nullptr, 10));
-            else if (arg == "--out")
-                options.reproducerDir = next();
-            else if (arg == "--max-vars")
-                options.cnf.maxVars = static_cast<qb::sat::Var>(
-                    std::strtol(next(), nullptr, 10));
-            else if (arg == "--ratio")
-                options.cnf.clauseVarRatio =
-                    std::strtod(next(), nullptr);
-            else if (arg == "--binary-prob")
-                options.cnf.binaryProb =
-                    std::strtod(next(), nullptr);
-            else if (arg == "--brute-max")
-                options.bruteForceMaxVars =
-                    static_cast<qb::sat::Var>(
-                        std::strtol(next(), nullptr, 10));
-            else if (arg == "--max-disagreements")
-                options.maxDisagreements =
-                    std::strtoull(next(), nullptr, 10);
-            else if (arg == "--inject-cnf-bug")
-                options.injectCnfBug = true;
-            else
-                return usage(argv[0]);
-        }
-    } catch (const std::invalid_argument &e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return usage(argv[0]);
+    std::vector<qb::flags::Value> v = qb::flags::defaults(kRows);
+    std::vector<std::string> positional;
+    const std::string error =
+        qb::flags::scan(kRows, argc, argv, v, positional);
+    if (!error.empty() || !positional.empty()) {
+        if (!error.empty())
+            std::fprintf(stderr, "error: %s\n", error.c_str());
+        std::fprintf(stderr, "usage: %s [options]\n%s", argv[0],
+                     qb::flags::usage(kRows).c_str());
+        return 2;
     }
+    qb::fuzz::FuzzOptions options;
+    options.seed = v[Seed].number;
+    options.qbrCases = v[Qbr].number;
+    options.cnfCases = v[Cnf].number;
+    options.analysisCases = v[Analysis].number;
+    options.jobs = v[Jobs].number;
+    options.reproducerDir = v[Out].text;
+    options.cnf.maxVars = v[MaxVars].number;
+    options.cnf.clauseVarRatio = v[Ratio].real;
+    options.cnf.binaryProb = v[BinaryProb].real;
+    options.bruteForceMaxVars = v[BruteMax].number;
+    options.maxDisagreements = v[MaxDisagreements].number;
+    options.injectCnfBug = v[InjectCnfBug].number != 0;
     if (options.jobs == 0)
         options.jobs =
             std::max(1u, std::thread::hardware_concurrency());
-    if (options.cnf.maxVars < options.cnf.minVars) {
-        std::fprintf(stderr,
-                     "error: --max-vars must be at least %d\n",
-                     options.cnf.minVars);
-        return 2;
-    }
 
     std::printf(
         "c qbfuzz seed=%llu qbr=%zu cnf=%zu analysis=%zu jobs=%u%s\n",

@@ -3,7 +3,8 @@
  * The qborrow command-line verifier, mirroring the artifact binary of
  * the paper (Section 10.2: `./qborrow ../examples/adder.qbr`).
  *
- * Three modes share one flag surface:
+ * Three modes share one flag surface, the options table of
+ * server/options.h:
  *
  *   - LOCAL (default): read a QBorrow program, elaborate it, and
  *     verify the safe uncomputation of every `borrow`-introduced dirty
@@ -26,17 +27,13 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <iterator>
-#include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
-#include <netdb.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "analysis/lint.h"
@@ -47,97 +44,30 @@
 #include "lang/parser.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "serving/transport.h"
 #include "support/logging.h"
 #include "support/strings.h"
 
 namespace {
 
+using qb::server::Opt;
+using qb::server::Settings;
+
 void
 usage(const char *argv0)
 {
-    std::fprintf(
-        stderr,
-        "usage: %s [options] program.qbr\n"
-        "       %s --serve <socket> [--serve-tcp host:port] "
-        "[options]\n"
-        "       %s --connect <socket> [options] program.qbr\n"
-        "       %s --connect <socket> --shutdown | --stats\n"
-        "\n"
-        "Verify safe uncomputation of every borrowed dirty qubit.\n"
-        "\n"
-        "options:\n"
-        "  --lane A|B        solver lane (default A; see docs)\n"
-        "  --portfolio       both lanes: each condition goes to\n"
-        "                    one, chosen from its cone's XOR:AND\n"
-        "                    ratio (adders to B, MCX ladders to A)\n"
-        "  --jobs N          scheduler worker threads (default: all\n"
-        "                    hardware threads); without --budget,\n"
-        "                    verdicts and counterexamples are\n"
-        "                    identical for any N\n"
-        "  --clean           also check alloc'd clean ancillas\n"
-        "  --lint            lint only: print source-located\n"
-        "                    diagnostics and metrics, skip\n"
-        "                    verification; exit 1 iff any error\n"
-        "  --no-lint         skip the lint pass that otherwise runs\n"
-        "                    before local verification\n"
-        "  --analysis SPEC   static condition discharge: 'all'\n"
-        "                    (default) or its one pass 'affine',\n"
-        "                    or 'off' for SAT-only\n"
-        "  --analysis-window N   qubit-window bound of lint's\n"
-        "                    permutation check (default 10, capped\n"
-        "                    at 20: larger values act as 20)\n"
-        "  --json            emit a machine-readable JSON report\n"
-        "  --quiet           only print the summary line\n"
-        "  --dump-circuit    print the elaborated gate list\n"
-        "  --no-cex          skip counterexample extraction\n"
-        "  --budget N        conflict budget per SAT call (-1,\n"
-        "                    the default, is unlimited)\n"
-        "  --inprocess N     persistent lanes vivify/subsume their\n"
-        "                    clause DB every N queries (default 16,\n"
-        "                    0 disables)\n"
-        "  --binary-analysis / --no-binary-analysis\n"
-        "                    binary implication graph passes inside\n"
-        "                    inprocessing: SCC equivalence merging,\n"
-        "                    failed-literal probing, transitive\n"
-        "                    reduction (default on; verdicts and\n"
-        "                    counterexamples are unchanged either\n"
-        "                    way)\n"
-        "\n"
-        "server mode (--serve / --serve-tcp):\n"
-        "  --serve PATH      run as a daemon on Unix socket PATH;\n"
-        "                    the other options become the server's\n"
-        "                    per-request defaults\n"
-        "  --serve-tcp H:P   also (or only) listen on TCP host:port\n"
-        "                    (port 0 binds an ephemeral port and\n"
-        "                    prints it)\n"
-        "  --auth-token T    require clients to authenticate with\n"
-        "                    token T before any other op (default:\n"
-        "                    $QB_AUTH_TOKEN; empty = no auth)\n"
-        "  --parallel N      programs verified concurrently\n"
-        "                    (default 2)\n"
-        "  --queue N         admission queue bound; further requests\n"
-        "                    are refused with 'queue full'\n"
-        "                    (default 16)\n"
-        "  --max-connections N   open connections allowed at once\n"
-        "                    (default 0 = unlimited)\n"
-        "  --max-inflight N  verify requests in flight per\n"
-        "                    connection (default 0 = unlimited)\n"
-        "  --idle-timeout S  close connections idle for S seconds\n"
-        "                    (default 0 = never)\n"
-        "  --result-cache N  memoized verdicts kept (default 256,\n"
-        "                    0 disables)\n"
-        "\n"
-        "client mode (--connect / --connect-tcp):\n"
-        "  --connect PATH    submit the program to the daemon at\n"
-        "                    PATH instead of verifying locally\n"
-        "  --connect-tcp H:P connect to a TCP daemon at host:port\n"
-        "  --token T         authenticate with token T (default:\n"
-        "                    $QB_AUTH_TOKEN)\n"
-        "  --stats           print the daemon's stats frame and exit\n"
-        "  --shutdown        ask the daemon to drain and exit\n"
-        "\n"
-        "See docs/CLI.md and docs/SERVER_PROTOCOL.md.\n",
-        argv0, argv0, argv0, argv0);
+    std::fprintf(stderr,
+                 "usage: %s [options] program.qbr\n"
+                 "       %s --serve <socket> [--serve-tcp host:port] "
+                 "[options]\n"
+                 "       %s --connect <socket> [options] program.qbr\n"
+                 "       %s --connect <socket> --shutdown | --stats\n"
+                 "\n"
+                 "Verify safe uncomputation of every borrowed dirty "
+                 "qubit.\n%s\n"
+                 "See docs/CLI.md and docs/SERVER_PROTOCOL.md.\n",
+                 argv0, argv0, argv0, argv0,
+                 qb::server::optionsUsage().c_str());
 }
 
 std::string
@@ -151,110 +81,48 @@ readFile(const std::string &path)
     return out.str();
 }
 
-/** Everything the flag parser can express, for all three modes. */
-struct CliOptions
-{
-    std::string path;
-    std::string lane = "A";
-    std::string servePath;
-    std::string serveTcp;
-    std::string connectPath;
-    std::string connectTcp;
-    std::string token;
-    bool tokenSet = false;
-    bool quiet = false;
-    bool dump = false;
-    bool lint = false;
-    bool noLint = false;
-    std::string analysisSpec;
-    long analysisWindow = -1;
-    bool portfolio = false;
-    bool clean = false;
-    bool json = false;
-    bool want_cex = true;
-    bool shutdown_server = false;
-    bool stats = false;
-    long budget = -1;
-    long jobs = 0;
-    long inprocess = 16;
-    bool binaryAnalysis = true;
-    long parallel = 2;
-    long queue = 16;
-    long maxConnections = 0;
-    long maxInflight = 0;
-    long idleTimeout = 0;
-    long resultCache = 256;
-};
-
 /** --auth-token / --token when given, else $QB_AUTH_TOKEN, else
  *  empty. */
 std::string
-resolveToken(const CliOptions &cli)
+resolveToken(const Settings &cli)
 {
-    if (cli.tokenSet)
-        return cli.token;
     const char *env = std::getenv("QB_AUTH_TOKEN");
-    return env ? env : "";
+    const bool given = cli[Opt::AuthToken].set || cli[Opt::Token].set;
+    return given || !env ? cli.text(Opt::AuthToken) : env;
 }
 
-qb::analysis::AnalysisOptions
-analysisOptionsFor(const CliOptions &cli)
-{
-    if (cli.analysisSpec == "off")
-        return qb::analysis::AnalysisOptions::none();
-    if (!cli.analysisSpec.empty() && cli.analysisSpec != "all" &&
-        cli.analysisSpec != "affine")
-        qb::fatal("unknown --analysis value '" + cli.analysisSpec +
-                  "' (expected all, off or affine)");
-    return {};
-}
-
-qb::core::EngineOptions
-engineOptionsFor(const CliOptions &cli)
-{
-    qb::core::EngineOptions options = cli.portfolio
-        ? qb::core::EngineOptions::portfolioAB()
-        : qb::core::EngineOptions::singleLane(
-              cli.lane == "A" ? qb::core::VerifierOptions::laneA()
-                              : qb::core::VerifierOptions::laneB());
-    options.jobs = static_cast<unsigned>(cli.jobs);
-    options.inprocessInterval = static_cast<unsigned>(cli.inprocess);
-    options.binaryAnalysis = cli.binaryAnalysis;
-    options.analysis = analysisOptionsFor(cli);
-    for (qb::core::VerifierOptions &lane_options : options.lanes) {
-        lane_options.wantCounterexample = cli.want_cex;
-        lane_options.conflictBudget = cli.budget;
-    }
-    return options;
-}
-
-/** Letter of the lane at @p index of the session's lane list: the
- *  one configured lane, or A/B of the portfolio. */
-char
-laneLetter(const CliOptions &cli, long long index)
-{
-    return cli.portfolio ? static_cast<char>('A' + index) : cli.lane[0];
-}
-
+/** The per-qubit text line, from the qubit's JSON object: a local
+ *  run and a `qubit` frame from a daemon print through it alike. */
 void
-printQubitLine(const CliOptions &cli, const qb::core::QubitResult &r)
+printQubit(const Settings &cli, const qb::server::JsonValue &q)
 {
-    std::printf("  %-10s %s", r.name.c_str(),
-                qb::core::verdictName(r.verdict));
-    if (r.verdict == qb::core::Verdict::Unsafe) {
+    using qb::server::JsonValue;
+    const JsonValue *name = q.find("name");
+    const JsonValue *verdict = q.find("verdict");
+    std::printf("  %-10s %s",
+                name ? name->asString().c_str() : "?",
+                verdict ? verdict->asString().c_str() : "?");
+    if (verdict && verdict->asString() == "unsafe") {
+        const JsonValue *failed = q.find("failed_condition");
         std::printf(" (%s restoration violated)",
-                    r.failed == qb::core::FailedCondition::
-                                    ZeroRestoration
+                    failed &&
+                            failed->asString() == "zero-restoration"
                         ? "|0>"
                         : "|+>");
     }
-    if (r.lane >= 0)
-        std::printf(" [lane %c]", laneLetter(cli, r.lane));
+    // The lane letter: the one configured lane, or A/B of the
+    // portfolio by the lane's index.
+    if (const JsonValue *lane = q.find("lane");
+        lane && lane->kind() == JsonValue::Kind::Number)
+        std::printf(" [lane %c]", cli.text(Opt::Lane) == "portfolio"
+                                      ? static_cast<char>('A' + lane->asInt())
+                                      : cli.text(Opt::Lane)[0]);
     std::printf("\n");
-    if (r.counterexample) {
+    if (const JsonValue *cex = q.find("counterexample");
+        cex && cex->kind() == JsonValue::Kind::Array) {
         std::printf("    counterexample input:");
-        for (bool b : *r.counterexample)
-            std::printf(" %d", b ? 1 : 0);
+        for (const JsonValue &bit : cex->items())
+            std::printf(" %d", bit.asInt() != 0 ? 1 : 0);
         std::printf("\n");
     }
 }
@@ -262,46 +130,43 @@ printQubitLine(const CliOptions &cli, const qb::core::QubitResult &r)
 // ------------------------------------------------------------- lint mode
 
 qb::analysis::LintOptions
-lintOptionsFor(const CliOptions &cli)
+lintOptionsFor(const Settings &cli)
 {
     qb::analysis::LintOptions options;
-    if (cli.analysisWindow >= 0)
-        options.permutationWindow =
-            static_cast<unsigned>(cli.analysisWindow);
+    options.permutationWindow = cli.number(Opt::AnalysisWindow);
     return options;
 }
 
 int
-runLint(const CliOptions &cli)
+runLint(const Settings &cli, const std::string &path)
 {
-    const auto result = qb::analysis::lintSource(readFile(cli.path),
+    const auto result = qb::analysis::lintSource(readFile(path),
                                                  lintOptionsFor(cli));
-    std::printf("%s",
-                cli.json
-                    ? qb::analysis::lintToJson(result, cli.path)
-                          .c_str()
-                    : qb::analysis::renderLintText(result, cli.path)
-                          .c_str());
+    std::printf("%s", cli.on(Opt::Json)
+                          ? qb::analysis::lintToJson(result, path).c_str()
+                          : qb::analysis::renderLintText(result, path)
+                                .c_str());
     return result.hasErrors() ? 1 : 0;
 }
 
 // ------------------------------------------------------------ local mode
 
 int
-runLocal(const CliOptions &cli)
+runLocal(const Settings &cli, const std::string &path)
 {
-    const qb::core::EngineOptions options = engineOptionsFor(cli);
-    const std::string source = readFile(cli.path);
+    const qb::core::EngineOptions options = qb::server::engineOptions(cli);
+    const std::string source = readFile(path);
+    const bool text = !cli.on(Opt::Quiet) && !cli.on(Opt::Json);
     // Lint-before-verify (opt out with --no-lint): diagnostics go to
     // stderr so stdout stays the verification report.  Lint and
     // verification share one parse and one elaboration.
-    const bool lint = !cli.noLint && !cli.quiet && !cli.json;
+    const bool lint = text && !cli.on(Opt::NoLint);
     const qb::lang::Program ast = qb::lang::parse(source);
     qb::analysis::LintResult lint_result;
     const auto print_lint = [&] {
         qb::analysis::sortDiagnostics(lint_result.diagnostics);
         for (const auto &d : lint_result.diagnostics)
-            std::fprintf(stderr, "%s:%s\n", cli.path.c_str(),
+            std::fprintf(stderr, "%s:%s\n", path.c_str(),
                          d.toString().c_str());
     };
     if (lint)
@@ -322,24 +187,24 @@ runLocal(const CliOptions &cli)
                                      lint_result);
         print_lint();
     }
-    if (cli.dump)
+    if (cli.on(Opt::DumpCircuit))
         std::printf("%s", program.circuit.toString().c_str());
-    if (!cli.quiet && !cli.json) {
-        std::printf("%s: %u qubits, %zu gates\n", cli.path.c_str(),
+    if (text) {
+        std::printf("%s: %u qubits, %zu gates\n", path.c_str(),
                     program.circuit.numQubits(),
                     program.circuit.size());
     }
     // Stream per-qubit lines as the engine produces them.
     qb::core::ResultObserver observer;
-    if (!cli.quiet && !cli.json)
+    if (text)
         observer = [&cli](const qb::core::QubitResult &r) {
-            printQubitLine(cli, r);
+            printQubit(cli, qb::server::JsonValue::parse(
+                                qb::core::toJson(r)));
         };
-    const auto result =
-        qb::core::verifyAll(program, options, observer, cli.clean);
-    if (cli.json) {
-        std::printf("%s",
-                    qb::core::toJson(result, cli.path).c_str());
+    const auto result = qb::core::verifyAll(program, options, observer,
+                                            cli.on(Opt::Clean));
+    if (cli.on(Opt::Json)) {
+        std::printf("%s", qb::core::toJson(result, path).c_str());
     } else {
         std::printf("%s\n", result.summary().c_str());
     }
@@ -357,25 +222,20 @@ onStopSignal(int)
 }
 
 int
-runServer(const CliOptions &cli)
+runServer(const Settings &cli)
 {
     qb::server::ServerOptions options;
-    options.socketPath = cli.servePath;
-    options.tcpAddress = cli.serveTcp;
+    options.socketPath = cli.text(Opt::ServePath);
+    options.tcpAddress = cli.text(Opt::ServeTcp);
     options.authToken = resolveToken(cli);
-    options.engine = engineOptionsFor(cli);
-    options.checkCleanAncillas = cli.clean;
-    options.queueCapacity = static_cast<std::size_t>(cli.queue);
-    options.concurrency = static_cast<unsigned>(cli.parallel);
-    options.jobs = static_cast<unsigned>(cli.jobs);
-    options.maxConnections =
-        static_cast<std::size_t>(cli.maxConnections);
-    options.maxInflightPerConnection =
-        static_cast<std::size_t>(cli.maxInflight);
-    options.idleTimeoutSeconds =
-        static_cast<unsigned>(cli.idleTimeout);
-    options.resultCacheCapacity =
-        static_cast<std::size_t>(cli.resultCache);
+    options.defaults = cli;
+    options.queueCapacity = cli.number(Opt::Queue);
+    options.concurrency = cli.number(Opt::Parallel);
+    options.jobs = cli.number(Opt::Jobs);
+    options.maxConnections = cli.number(Opt::MaxConnections);
+    options.maxInflightPerConnection = cli.number(Opt::MaxInflight);
+    options.idleTimeoutSeconds = cli.number(Opt::IdleTimeout);
+    options.resultCacheCapacity = cli.number(Opt::ResultCache);
     const bool authed = !options.authToken.empty();
 
     qb::server::Server server(std::move(options));
@@ -391,8 +251,8 @@ runServer(const CliOptions &cli)
     }
     qb::inform(qb::format(
         "qborrow server listening on %s (parallel %ld, queue %ld%s)",
-        endpoints.c_str(), cli.parallel, cli.queue,
-        authed ? ", auth required" : ""));
+        endpoints.c_str(), cli.number(Opt::Parallel),
+        cli.number(Opt::Queue), authed ? ", auth required" : ""));
     server.run(&g_stop); // returns after the graceful drain
     const auto counters = server.counters();
     qb::inform(qb::format(
@@ -406,73 +266,6 @@ runServer(const CliOptions &cli)
 }
 
 // ----------------------------------------------------------- client mode
-
-int
-connectTo(const std::string &path)
-{
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (path.size() >= sizeof(addr.sun_path))
-        qb::fatal("socket path too long: " + path);
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0)
-        qb::fatal(std::string("cannot create socket: ") +
-                  std::strerror(errno));
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) < 0) {
-        const std::string msg = std::string("cannot connect to '") +
-                                path + "': " + std::strerror(errno);
-        ::close(fd);
-        qb::fatal(msg);
-    }
-    return fd;
-}
-
-int
-connectTcp(const std::string &host_port)
-{
-    const std::size_t colon = host_port.rfind(':');
-    if (colon == std::string::npos || colon + 1 >= host_port.size())
-        qb::fatal("TCP address must be host:port, got '" +
-                  host_port + "'");
-    std::string host = host_port.substr(0, colon);
-    const std::string port = host_port.substr(colon + 1);
-    if (host.size() >= 2 && host.front() == '[' && host.back() == ']')
-        host = host.substr(1, host.size() - 2);
-    if (host.empty())
-        host = "127.0.0.1";
-
-    addrinfo hints{};
-    hints.ai_family = AF_UNSPEC;
-    hints.ai_socktype = SOCK_STREAM;
-    addrinfo *results = nullptr;
-    const int rc =
-        ::getaddrinfo(host.c_str(), port.c_str(), &hints, &results);
-    if (rc != 0)
-        qb::fatal("cannot resolve '" + host_port +
-                  "': " + ::gai_strerror(rc));
-    int fd = -1;
-    std::string last_error = "no usable address";
-    for (addrinfo *ai = results; ai != nullptr; ai = ai->ai_next) {
-        fd = ::socket(ai->ai_family, ai->ai_socktype | SOCK_CLOEXEC,
-                      ai->ai_protocol);
-        if (fd < 0) {
-            last_error = std::strerror(errno);
-            continue;
-        }
-        if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0)
-            break;
-        last_error = std::strerror(errno);
-        ::close(fd);
-        fd = -1;
-    }
-    ::freeaddrinfo(results);
-    if (fd < 0)
-        qb::fatal("cannot connect to '" + host_port +
-                  "': " + last_error);
-    return fd;
-}
 
 void
 sendLine(int fd, std::string line)
@@ -491,236 +284,128 @@ sendLine(int fd, std::string line)
     }
 }
 
-/** Read one '\n'-terminated line (without the terminator); false on
- *  EOF. */
+/** Read lines until a frame of a type in @p types arrives (into
+ *  @p line and @p doc); false when the connection closes first.
+ *  Garbage is skipped. */
 bool
-readLine(int fd, std::string &buffer, std::string &line)
+nextFrame(int fd, std::string &buffer, std::string &line,
+          std::initializer_list<std::string_view> types,
+          qb::server::JsonValue &doc)
 {
-    std::size_t eol;
-    while ((eol = buffer.find('\n')) == std::string::npos) {
-        char chunk[4096];
-        const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0)
-            return false;
-        buffer.append(chunk, static_cast<std::size_t>(n));
-    }
-    line = buffer.substr(0, eol);
-    buffer.erase(0, eol + 1);
-    return true;
-}
-
-/** Rebuild the local per-qubit text line from a `qubit` response. */
-void
-printQubitJson(const CliOptions &cli, const qb::server::JsonValue &q)
-{
-    using qb::server::JsonValue;
-    const JsonValue *name = q.find("name");
-    const JsonValue *verdict = q.find("verdict");
-    std::printf("  %-10s %s",
-                name ? name->asString().c_str() : "?",
-                verdict ? verdict->asString().c_str() : "?");
-    if (verdict && verdict->asString() == "unsafe") {
-        const JsonValue *failed = q.find("failed_condition");
-        std::printf(" (%s restoration violated)",
-                    failed &&
-                            failed->asString() == "zero-restoration"
-                        ? "|0>"
-                        : "|+>");
-    }
-    if (const JsonValue *lane = q.find("lane");
-        lane && lane->kind() == JsonValue::Kind::Number)
-        std::printf(" [lane %c]", laneLetter(cli, lane->asInt()));
-    std::printf("\n");
-    if (const JsonValue *cex = q.find("counterexample");
-        cex && cex->kind() == JsonValue::Kind::Array) {
-        std::printf("    counterexample input:");
-        for (const JsonValue &bit : cex->items())
-            std::printf(" %d", bit.asInt() != 0 ? 1 : 0);
-        std::printf("\n");
+    for (std::size_t eol;;) {
+        while ((eol = buffer.find('\n')) == std::string::npos) {
+            char chunk[4096];
+            const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+            if (n > 0)
+                buffer.append(chunk, static_cast<std::size_t>(n));
+            else if (n == 0 || errno != EINTR)
+                return false;
+        }
+        line = buffer.substr(0, eol);
+        buffer.erase(0, eol + 1);
+        try {
+            doc = qb::server::JsonValue::parse(line);
+        } catch (const qb::FatalError &) {
+            continue; // tolerate unknown garbage on the stream
+        }
+        const qb::server::JsonValue *type = doc.find("type");
+        if (type && std::find(types.begin(), types.end(),
+                              type->asString()) != types.end())
+            return true;
     }
 }
 
 int
-runClient(const CliOptions &cli)
+runClient(const Settings &cli, const std::string &path)
 {
     using qb::server::JsonValue;
-    const int fd = cli.connectTcp.empty()
-        ? connectTo(cli.connectPath)
-        : connectTcp(cli.connectTcp);
+    const int fd = cli.text(Opt::ConnectTcp).empty()
+        ? qb::serving::connectUnix(cli.text(Opt::ConnectPath))
+        : qb::serving::connectTcp(cli.text(Opt::ConnectTcp));
+    const auto fail = [fd](const std::string &message) {
+        ::close(fd);
+        qb::fatal(message);
+    };
+    std::string buffer, line;
+    JsonValue doc;
 
     // When a token is available, authenticate before anything else -
     // a token-protected daemon rejects every other op first.
-    const std::string token = resolveToken(cli);
-    if (!token.empty()) {
+    if (const std::string token = resolveToken(cli); !token.empty()) {
         sendLine(fd, "{\"op\": \"auth\", \"id\": 0, \"token\": \"" +
                          qb::jsonEscape(token) + "\"}");
-        std::string buffer, line;
-        bool acknowledged = false;
-        while (!acknowledged && readLine(fd, buffer, line)) {
-            const JsonValue doc = JsonValue::parse(line);
-            const JsonValue *type = doc.find("type");
-            if (!type || type->asString() != "auth")
-                continue;
-            acknowledged = true;
-            if (const JsonValue *ok = doc.find("ok");
-                !ok || !ok->asBool(false)) {
-                ::close(fd);
-                qb::fatal("server rejected the auth token");
-            }
-        }
-        if (!acknowledged) {
-            ::close(fd);
-            qb::fatal("connection closed during authentication");
-        }
+        if (!nextFrame(fd, buffer, line, {"auth"}, doc))
+            fail("connection closed during authentication");
+        if (const JsonValue *ok = doc.find("ok"); !ok || !ok->asBool())
+            fail("server rejected the auth token");
         if (!buffer.empty())
             qb::warn("unexpected data before the auth ack");
     }
 
-    if (cli.stats) {
-        sendLine(fd, "{\"op\": \"stats\", \"id\": 0}");
-        std::string buffer, line;
-        while (readLine(fd, buffer, line)) {
-            const JsonValue doc = JsonValue::parse(line);
-            const JsonValue *type = doc.find("type");
-            if (type && type->asString() == "error") {
-                const JsonValue *message = doc.find("message");
-                std::fprintf(stderr, "error: %s\n",
-                             message ? message->asString().c_str()
-                                     : "server error");
-                ::close(fd);
-                return 2;
-            }
-            if (type && type->asString() == "stats") {
-                std::printf("%s\n", line.c_str());
-                ::close(fd);
-                return 0;
-            }
-        }
-        ::close(fd);
-        qb::fatal("connection closed before stats arrived");
-    }
-
-    if (cli.shutdown_server) {
-        sendLine(fd, "{\"op\": \"shutdown\", \"id\": 0}");
-        std::string buffer, line;
-        // Wait for the ack; the daemon drains before exiting.
-        while (readLine(fd, buffer, line)) {
-            const JsonValue doc = JsonValue::parse(line);
-            const JsonValue *type = doc.find("type");
-            if (type && type->asString() == "bye") {
-                ::close(fd);
-                return 0;
-            }
-        }
-        ::close(fd);
-        qb::fatal("connection closed before shutdown was "
-                  "acknowledged");
-    }
-
-    // Pool size, inprocessing interval and static analysis are fixed
-    // when the daemon starts, and lint does not run in client mode;
-    // passing them here would silently do nothing, so say so.
-    if (cli.jobs != 0)
-        qb::warn("--jobs is server-wide; ignored in client mode");
-    if (cli.inprocess != 16)
-        qb::warn("--inprocess is server-wide; ignored in client mode");
-    if (!cli.binaryAnalysis)
-        qb::warn("--no-binary-analysis is server-wide; ignored in "
-                 "client mode");
-    if (!cli.analysisSpec.empty())
-        qb::warn("--analysis is server-wide; ignored in client mode");
-    if (cli.analysisWindow >= 0)
-        qb::warn("--analysis-window bounds local lint only; ignored "
-                 "in client mode");
-
-    const std::string source = readFile(cli.path);
-    std::string request = "{\"op\": \"verify\", \"id\": 1";
-    request += ", \"name\": \"" + qb::jsonEscape(cli.path) + "\"";
-    request += ", \"source\": \"" + qb::jsonEscape(source) + "\"";
-    request += ", \"options\": {";
-    request += "\"lane\": \"";
-    request += cli.portfolio ? "portfolio" : cli.lane;
-    request += "\"";
-    request += qb::format(", \"clean\": %s",
-                          cli.clean ? "true" : "false");
-    request += qb::format(", \"counterexample\": %s",
-                          cli.want_cex ? "true" : "false");
-    request += qb::format(", \"budget\": %lld",
-                          static_cast<long long>(cli.budget));
-    request += "}}";
-    sendLine(fd, request);
-
-    std::string buffer, line;
-    int exit_code = 2;
-    bool finished = false;
-    while (!finished && readLine(fd, buffer, line)) {
-        JsonValue doc;
-        try {
-            doc = JsonValue::parse(line);
-        } catch (const qb::FatalError &) {
-            continue; // tolerate unknown garbage on the stream
-        }
-        const JsonValue *type = doc.find("type");
-        if (!type)
-            continue;
-        const std::string &kind = type->asString();
-        if (kind == "error") {
-            const JsonValue *message = doc.find("message");
-            std::fprintf(stderr, "error: %s\n",
-                         message ? message->asString().c_str()
-                                 : "server error");
-            ::close(fd);
-            return 2;
-        }
-        if (kind == "qubit") {
-            if (!cli.quiet && !cli.json)
-                if (const JsonValue *q = doc.find("qubit"))
-                    printQubitJson(cli, *q);
-            continue;
-        }
-        if (kind != "result")
-            continue; // accepted / pong / unrelated ids
-        finished = true;
-        const JsonValue *status = doc.find("status");
-        const JsonValue *report = doc.find("report");
-        const bool cancelled =
-            status && status->asString() == "cancelled";
-        bool all_safe = false;
-        if (report)
-            if (const JsonValue *safe = report->find("all_safe"))
-                all_safe = safe->asBool(false);
-        if (cli.json) {
-            // The final `result` frame verbatim: one line carrying
-            // the compact report plus the request status.
-            std::printf("%s\n", line.c_str());
-        } else {
-            const JsonValue *counts =
-                report ? report->find("counts") : nullptr;
-            const JsonValue *qubits =
-                report ? report->find("qubits") : nullptr;
-            const JsonValue *seconds =
-                report ? report->find("total_seconds") : nullptr;
-            const auto at = [&](const char *key) -> long long {
-                const JsonValue *v =
-                    counts ? counts->find(key) : nullptr;
-                return v ? static_cast<long long>(v->asInt()) : 0;
-            };
-            std::printf(
-                "%zu dirty qubit(s): %lld safe, %lld unsafe, %lld "
-                "undecided (%.3f s)%s\n",
-                qubits ? qubits->items().size() : 0, at("safe"),
-                at("unsafe"), at("undecided"),
-                seconds ? seconds->asNumber() : 0.0,
-                cancelled ? " [cancelled]" : "");
-        }
-        exit_code = (all_safe && !cancelled) ? 0 : 1;
+    const char *op = cli.on(Opt::Stats)      ? "stats"
+                     : cli.on(Opt::Shutdown) ? "shutdown"
+                                             : nullptr;
+    const bool text = !cli.on(Opt::Quiet) && !cli.on(Opt::Json);
+    if (op) {
+        // A shutdown is acknowledged once the daemon has drained.
+        sendLine(fd, qb::format("{\"op\": \"%s\", \"id\": 0}", op));
+        if (!nextFrame(fd, buffer, line, {"stats", "bye", "error"}, doc))
+            fail(qb::format("connection closed before the %s reply", op));
+    } else {
+        sendLine(fd, "{\"op\": \"verify\", \"id\": 1, \"name\": \"" +
+                         qb::jsonEscape(path) + "\", \"source\": \"" +
+                         qb::jsonEscape(readFile(path)) +
+                         "\", \"options\": " +
+                         qb::server::requestOptionsJson(cli) + "}");
+        bool answered;
+        while ((answered = nextFrame(fd, buffer, line,
+                                     {"qubit", "result", "error"}, doc)) &&
+               doc.find("type")->asString() == "qubit")
+            if (const JsonValue *q = doc.find("qubit"); q && text)
+                printQubit(cli, *q);
+        if (!answered)
+            fail("connection closed before a result arrived");
     }
     ::close(fd);
-    if (!finished)
-        qb::fatal("connection closed before a result arrived");
-    return exit_code;
+    const std::string &kind = doc.find("type")->asString();
+    if (kind == "error") {
+        const JsonValue *message = doc.find("message");
+        std::fprintf(stderr, "error: %s\n",
+                     message ? message->asString().c_str()
+                             : "server error");
+        return 2;
+    }
+    if (kind != "result") { // the stats frame, or the shutdown ack
+        if (kind == "stats")
+            std::printf("%s\n", line.c_str());
+        return 0;
+    }
+    const JsonValue *status = doc.find("status");
+    const bool cancelled = status && status->asString() == "cancelled";
+    const JsonValue *report = doc.find("report");
+    const auto at = [report](const char *key) {
+        return report ? report->find(key) : nullptr;
+    };
+    const bool all_safe = at("all_safe") && at("all_safe")->asBool();
+    if (cli.on(Opt::Json)) {
+        // The final `result` frame verbatim: one line carrying the
+        // compact report plus the request status.
+        std::printf("%s\n", line.c_str());
+    } else {
+        const JsonValue *counts = at("counts");
+        const auto count = [counts](const char *key) -> long long {
+            const JsonValue *v = counts ? counts->find(key) : nullptr;
+            return v ? v->asInt() : 0;
+        };
+        std::printf("%zu dirty qubit(s): %lld safe, %lld unsafe, %lld "
+                    "undecided (%.3f s)%s\n",
+                    at("qubits") ? at("qubits")->items().size() : 0,
+                    count("safe"), count("unsafe"), count("undecided"),
+                    at("total_seconds") ? at("total_seconds")->asNumber()
+                                        : 0.0,
+                    cancelled ? " [cancelled]" : "");
+    }
+    return all_safe && !cancelled ? 0 : 1;
 }
 
 /** Flag scan and mode dispatch.  Throws (qb::FatalError, library
@@ -728,135 +413,41 @@ runClient(const CliOptions &cli)
 int
 run(int argc, char **argv)
 {
-    CliOptions cli;
-    constexpr long kUnsignedMax = std::numeric_limits<unsigned>::max();
-    constexpr long kLongMax = std::numeric_limits<long>::max();
-    // Every numeric flag, with the range its value must fall in
-    // (parseDecimal: strict, so junk is a usage error, never 0).
-    const struct
-    {
-        const char *name;
-        long *value;
-        long min;
-        long max;
-    } numeric[] = {
-        {"--budget", &cli.budget, -1, kLongMax},
-        {"--jobs", &cli.jobs, 1, kUnsignedMax},
-        {"--inprocess", &cli.inprocess, 0, kUnsignedMax},
-        {"--analysis-window", &cli.analysisWindow, 0, kLongMax},
-        {"--parallel", &cli.parallel, 1, kUnsignedMax},
-        {"--queue", &cli.queue, 1, kLongMax},
-        {"--max-connections", &cli.maxConnections, 0, kLongMax},
-        {"--max-inflight", &cli.maxInflight, 0, kLongMax},
-        {"--idle-timeout", &cli.idleTimeout, 0, kUnsignedMax},
-        {"--result-cache", &cli.resultCache, 0, kLongMax},
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto flag =
-            std::find_if(std::begin(numeric), std::end(numeric),
-                         [&arg](const auto &f) { return arg == f.name; });
-        if (flag != std::end(numeric)) {
-            if (i + 1 >= argc ||
-                !qb::parseDecimal(argv[++i], flag->min, flag->max,
-                                  *flag->value)) {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (arg == "--quiet") {
-            cli.quiet = true;
-        } else if (arg == "--dump-circuit") {
-            cli.dump = true;
-        } else if (arg == "--no-cex") {
-            cli.want_cex = false;
-        } else if (arg == "--portfolio") {
-            cli.portfolio = true;
-        } else if (arg == "--binary-analysis") {
-            cli.binaryAnalysis = true;
-        } else if (arg == "--no-binary-analysis") {
-            cli.binaryAnalysis = false;
-        } else if (arg == "--clean") {
-            cli.clean = true;
-        } else if (arg == "--lint") {
-            cli.lint = true;
-        } else if (arg == "--no-lint") {
-            cli.noLint = true;
-        } else if (arg.rfind("--analysis=", 0) == 0) {
-            cli.analysisSpec = arg.substr(std::strlen("--analysis="));
-        } else if (arg == "--analysis" && i + 1 < argc) {
-            cli.analysisSpec = argv[++i];
-        } else if (arg == "--json") {
-            cli.json = true;
-        } else if (arg == "--shutdown") {
-            cli.shutdown_server = true;
-        } else if (arg == "--stats") {
-            cli.stats = true;
-        } else if (arg == "--serve" && i + 1 < argc) {
-            cli.servePath = argv[++i];
-        } else if (arg == "--serve-tcp" && i + 1 < argc) {
-            cli.serveTcp = argv[++i];
-        } else if (arg == "--connect" && i + 1 < argc) {
-            cli.connectPath = argv[++i];
-        } else if (arg == "--connect-tcp" && i + 1 < argc) {
-            cli.connectTcp = argv[++i];
-        } else if ((arg == "--auth-token" || arg == "--token") &&
-                   i + 1 < argc) {
-            cli.token = argv[++i];
-            cli.tokenSet = true;
-        } else if (arg == "--lane" && i + 1 < argc) {
-            cli.lane = argv[++i];
-            if (cli.lane != "A" && cli.lane != "B") {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (!arg.empty() && arg[0] == '-') {
-            usage(argv[0]);
-            return 2;
-        } else if (cli.path.empty()) {
-            cli.path = arg;
-        } else {
-            usage(argv[0]);
-            return 2;
-        }
-    }
-    const bool serve =
-        !cli.servePath.empty() || !cli.serveTcp.empty();
-    const bool connect =
-        !cli.connectPath.empty() || !cli.connectTcp.empty();
-    if (serve && connect) {
+    Settings cli;
+    std::vector<std::string> paths;
+    const std::string error = qb::flags::scan(
+        qb::server::optionRows(), argc, argv, cli.values, paths);
+    const bool serve = !cli.text(Opt::ServePath).empty() ||
+                       !cli.text(Opt::ServeTcp).empty();
+    const bool connect = !cli.text(Opt::ConnectPath).empty() ||
+                         !cli.text(Opt::ConnectTcp).empty();
+    const bool control = cli.on(Opt::Stats) || cli.on(Opt::Shutdown);
+    // One program in local and client mode, none to serve; a control
+    // op ignores it.  Lint is a local, frontend-only mode.
+    const bool usage_error =
+        !error.empty() || (serve && connect) ||
+        (!cli.text(Opt::ConnectPath).empty() &&
+         !cli.text(Opt::ConnectTcp).empty()) ||
+        (control && !connect) || (cli.on(Opt::Lint) && (serve || connect)) ||
+        paths.size() > (serve ? 0u : 1u) ||
+        (paths.empty() && !serve && !control);
+    if (usage_error) {
+        if (!error.empty())
+            std::fprintf(stderr, "error: %s\n", error.c_str());
         usage(argv[0]);
         return 2;
     }
-    if (!cli.connectPath.empty() && !cli.connectTcp.empty()) {
-        usage(argv[0]);
-        return 2;
-    }
-    if (serve && !cli.path.empty()) {
-        usage(argv[0]);
-        return 2;
-    }
-    if ((cli.shutdown_server || cli.stats) && !connect) {
-        usage(argv[0]);
-        return 2;
-    }
-    if (!serve && !cli.shutdown_server && !cli.stats &&
-        cli.path.empty()) {
-        usage(argv[0]);
-        return 2;
-    }
-    // Lint is a local, frontend-only mode.
-    if (cli.lint && (serve || connect)) {
-        usage(argv[0]);
-        return 2;
-    }
+    qb::server::warnIgnored(cli, serve     ? qb::server::Serve
+                                 : connect ? qb::server::Connect
+                                           : qb::server::Local);
 
     if (serve)
         return runServer(cli);
     if (connect)
-        return runClient(cli);
-    if (cli.lint)
-        return runLint(cli);
-    return runLocal(cli);
+        return runClient(cli, paths.empty() ? "" : paths[0]);
+    if (cli.on(Opt::Lint))
+        return runLint(cli, paths[0]);
+    return runLocal(cli, paths[0]);
 }
 
 } // namespace

@@ -15,28 +15,35 @@
  * model is re-validated against the clause list before printing.
  */
 
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <string>
+#include <vector>
 
 #include "sat/dimacs.h"
 #include "sat/solver.h"
+#include "support/flags.h"
 #include "support/logging.h"
-#include "support/strings.h"
 
 namespace {
 
-[[nodiscard]] int
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--dimacs] [--simplify] [--stats] "
-                 "[--budget N] file.cnf (or - for stdin)\n",
-                 argv0);
-    return 2;
-}
+using qb::flags::Kind;
+
+/** The rows of kRows, in order. */
+enum Flag { Dimacs, Simplify, Stats, Budget };
+
+const qb::flags::Row kRows[] = {
+    {"--dimacs", Kind::Text, "", 0, 0, nullptr, "FILE",
+     "the CNF file, as the positional argument ('-' is stdin)"},
+    {"--simplify", Kind::Bool, "false", 0, 0, nullptr, nullptr,
+     "the preprocessing preset (lane B's solver configuration)"},
+    {"--stats", Kind::Bool, "false", 0, 0, nullptr, nullptr,
+     "print solver counters as c lines"},
+    {"--budget", Kind::Int, "-1", -1, LONG_MAX, nullptr, "N",
+     "conflict budget (-1, the default, is unlimited)"},
+};
 
 /** Print the model competition-style: "v" lines capped near 78
  *  columns, terminated by the literal 0. */
@@ -64,43 +71,26 @@ printModel(const qb::sat::Solver &solver, qb::sat::Var num_vars)
 int
 run(int argc, char **argv)
 {
-    std::string path;
-    bool simplify = false;
-    bool stats = false;
-    long budget = -1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--simplify") {
-            simplify = true;
-        } else if (arg == "--stats") {
-            stats = true;
-        } else if (arg == "--budget") {
-            // Strict: junk would otherwise read as a budget of 0.
-            if (i + 1 >= argc ||
-                !qb::parseDecimal(argv[++i], -1,
-                                  std::numeric_limits<long>::max(),
-                                  budget))
-                return usage(argv[0]);
-        } else if (arg == "--dimacs" && i + 1 < argc &&
-                   path.empty()) {
-            path = argv[++i];
-        } else if (arg == "--help" || arg == "-h") {
-            return usage(argv[0]);
-        } else if (path.empty() && (arg == "-" || arg[0] != '-')) {
-            path = arg;
-        } else {
-            return usage(argv[0]);
-        }
+    std::vector<qb::flags::Value> v = qb::flags::defaults(kRows);
+    std::vector<std::string> paths;
+    const std::string error = qb::flags::scan(kRows, argc, argv, v, paths);
+    if (!v[Dimacs].text.empty())
+        paths.push_back(v[Dimacs].text);
+    if (!error.empty() || paths.size() != 1) {
+        if (!error.empty())
+            std::fprintf(stderr, "error: %s\n", error.c_str());
+        std::fprintf(stderr, "usage: %s [options] file.cnf\n%s", argv[0],
+                     qb::flags::usage(kRows).c_str());
+        return 2;
     }
-    if (path.empty())
-        return usage(argv[0]);
+    const std::string &path = paths[0];
     // Build the config only after the flag scan: presets and tweaks
     // compose in any order (previously `--budget N --simplify` lost
     // the budget because the preset replaced the whole config).
-    qb::sat::SolverConfig config = simplify
+    qb::sat::SolverConfig config = v[Simplify].number
         ? qb::sat::SolverConfig::simplify()
         : qb::sat::SolverConfig::baseline();
-    config.conflictBudget = budget;
+    config.conflictBudget = v[Budget].number;
 
     // Stream straight from the file (or stdin): the strict reader
     // never needs the whole text in memory, and a malformed file is
@@ -134,7 +124,7 @@ run(int argc, char **argv)
     // entry then re-runs the binary-graph analysis as usual.
     solver.inprocess();
     const qb::sat::SolveResult result = solver.solve();
-    if (stats) {
+    if (v[Stats].number) {
         const auto &s = solver.stats();
         std::printf("c conflicts %lld decisions %lld "
                     "propagations %lld restarts %lld "

@@ -1443,5 +1443,32 @@ TEST(ServingFingerprint, AnalysisOptionsAreResultAffecting)
               server::fingerprint(server::Settings{}));
 }
 
+TEST(ServingFingerprint, EveryAnalysisOptionsFieldIsResultAffecting)
+{
+    // Compile-time completeness gate: the structured binding names
+    // every AnalysisOptions field, so adding or removing one fails to
+    // compile here.  Update in lockstep: the binding, the per-field
+    // flips below and the options table row that sets the field.
+    [[maybe_unused]] const auto [affine_field] = AnalysisOptions{};
+
+    const server::Settings base;
+    const auto flipped = [](server::Opt o, const char *value) {
+        server::Settings s;
+        EXPECT_TRUE(s.set(o, value)) << value;
+        return s;
+    };
+    const server::Settings affine =
+        flipped(server::Opt::Analysis, "off");
+    EXPECT_NE(server::engineOptions(base).analysis.affine,
+              server::engineOptions(affine).analysis.affine);
+    // Each single-field flip changes the key, and no two flips
+    // collide with each other.
+    const std::string keys[] = {server::fingerprint(base),
+                                server::fingerprint(affine)};
+    for (std::size_t i = 0; i < std::size(keys); ++i)
+        for (std::size_t j = i + 1; j < std::size(keys); ++j)
+            EXPECT_NE(keys[i], keys[j]) << i << " vs " << j;
+}
+
 } // namespace
 } // namespace qb::analysis

@@ -1124,6 +1124,24 @@ otherValue(const flags::Row &row, const flags::Value &current)
     return current.text + "x";
 }
 
+TEST(ServingTier, OptionsFingerprintSeparatesResultAffectingKnobs)
+{
+    Settings base;
+    ASSERT_TRUE(base.set(Opt::Lane, "portfolio"));
+    const std::string key = fingerprint(base);
+    EXPECT_EQ(key, fingerprint(base));
+    Settings clean = base;
+    ASSERT_TRUE(clean.set(Opt::Clean, "true"));
+    EXPECT_NE(key, fingerprint(clean));
+    Settings budgeted = base;
+    ASSERT_TRUE(budgeted.set(Opt::Budget, "100"));
+    EXPECT_NE(key, fingerprint(budgeted));
+    // Scheduling-only knobs must NOT splinter the cache.
+    Settings scheduling = base;
+    ASSERT_TRUE(scheduling.set(Opt::Jobs, "9"));
+    EXPECT_EQ(key, fingerprint(scheduling));
+}
+
 TEST(OptionsTable, EveryFingerprintedRowKeysTheResultCache)
 {
     // Derived from the table: flipping any fingerprinted row changes

@@ -142,16 +142,6 @@ reportCounters(benchmark::State &state,
         static_cast<double>(result.analysisTotals.discharged);
     state.counters["analysis_discharged_affine"] =
         static_cast<double>(result.analysisTotals.affine);
-    // Binary implication graph passes (--binary-analysis): what the
-    // slice-boundary SCC/probing/reduction sweeps actually did.
-    state.counters["scc_merged_vars"] =
-        static_cast<double>(result.solverTotals.sccMergedVars);
-    state.counters["probed_failed"] =
-        static_cast<double>(result.solverTotals.probedFailed);
-    state.counters["hyper_binaries"] =
-        static_cast<double>(result.solverTotals.hyperBinaries);
-    state.counters["transitive_reduced"] =
-        static_cast<double>(result.solverTotals.transitiveReduced);
 }
 
 void
@@ -238,20 +228,6 @@ AdderVerifyEnginePortfolioNoAnalysis(benchmark::State &state)
     runAdderEngine(state, options);
 }
 
-void
-AdderVerifyEnginePortfolioNoBinaryAnalysis(benchmark::State &state)
-{
-    // Binary-graph passes off.  The adder's carry chain is the
-    // natural habitat of the passes (nested, argument-sharing
-    // conjunctions), so the on/off pair measures what SCC merging,
-    // probing and transitive reduction buy where they genuinely fire
-    // - verdicts are identical by construction.
-    qb::core::EngineOptions options =
-        qb::core::EngineOptions::portfolioAB();
-    options.binaryAnalysis = false;
-    runAdderEngine(state, options);
-}
-
 } // namespace
 
 BENCHMARK(AdderVerifyOneShotLaneA)
@@ -275,10 +251,6 @@ BENCHMARK(AdderVerifyEnginePortfolio)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);
 BENCHMARK(AdderVerifyEnginePortfolioNoAnalysis)
-    ->DenseRange(50, 200, 25)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
-BENCHMARK(AdderVerifyEnginePortfolioNoBinaryAnalysis)
     ->DenseRange(50, 200, 25)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);

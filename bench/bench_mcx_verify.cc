@@ -150,16 +150,6 @@ reportCounters(benchmark::State &state,
         static_cast<double>(result.analysisTotals.discharged);
     state.counters["analysis_discharged_affine"] =
         static_cast<double>(result.analysisTotals.affine);
-    // Binary implication graph passes (--binary-analysis): what the
-    // slice-boundary SCC/probing/reduction sweeps actually did.
-    state.counters["scc_merged_vars"] =
-        static_cast<double>(result.solverTotals.sccMergedVars);
-    state.counters["probed_failed"] =
-        static_cast<double>(result.solverTotals.probedFailed);
-    state.counters["hyper_binaries"] =
-        static_cast<double>(result.solverTotals.hyperBinaries);
-    state.counters["transitive_reduced"] =
-        static_cast<double>(result.solverTotals.transitiveReduced);
 }
 
 /** Which benchmark program a family runs. */
@@ -262,65 +252,17 @@ McxVerifyEnginePortfolioNoAnalysis(benchmark::State &state)
 }
 
 void
-McxVerifyEnginePortfolioNoBinaryAnalysis(benchmark::State &state)
-{
-    // Binary-graph passes off: the on/off pair bounds what SCC
-    // merging, probing and transitive reduction buy on this family,
-    // and pins the arena_peak_kw comparison (verdicts are identical
-    // by construction).
-    qb::core::EngineOptions options =
-        qb::core::EngineOptions::portfolioAB();
-    options.binaryAnalysis = false;
-    // An inprocessing pass every query boundary, so the graph passes
-    // (when on) actually run at every engine size in this family's
-    // range - the default interval of 16 fires only on programs with
-    // more queries than mcx's single qubit issues.
-    options.inprocessInterval = 1;
-    runMcxVerify(state, options, false);
-}
-
-void
-McxVerifyEnginePortfolioBinaryAnalysis(benchmark::State &state)
-{
-    // The matching analysis-ON twin of the NoBinaryAnalysis variant
-    // (inprocessInterval = 1 likewise): the pair bounds cost and
-    // arena_peak_kw with the graph passes on vs off.  The plain
-    // ladder's implication graph is a tree, so the SCC / reduction
-    // counters legitimately stay 0 here - the counter smoke test
-    // lives on the BinaryHeavy family below.
-    qb::core::EngineOptions options =
-        qb::core::EngineOptions::portfolioAB();
-    options.inprocessInterval = 1;
-    runMcxVerify(state, options, false);
-}
-
-void
 McxVerifyEngineBinaryHeavy(benchmark::State &state)
 {
     // The dressed mcx program (circuits::binaryHeavyMcxQbrSource) on
     // the preprocessing lane, whose per-condition scratch solver runs
-    // the root binary-graph pass on every solve: CI bench-smoke
-    // asserts scc_merged_vars >= 1 and transitive_reduced >= 1 here.
-    // Lane B rather than the portfolio on purpose: the portfolio sends
-    // this AND-dense cone to lane A, whose persistent solver runs the
-    // graph passes only at inprocessing boundaries.
+    // bounded variable elimination over its binary-dense formula on
+    // every solve.  Lane B rather than the portfolio on purpose: the
+    // portfolio sends this AND-dense cone to lane A.
     runMcxVerify(state,
                  qb::core::EngineOptions::singleLane(
                      qb::core::VerifierOptions::laneB()),
                  false, McxProgram::BinaryHeavy);
-}
-
-void
-McxVerifyEngineBinaryHeavyNoBinaryAnalysis(benchmark::State &state)
-{
-    // Passes-off twin of McxVerifyEngineBinaryHeavy: all four
-    // binary-graph counters must read 0, and the solve-time /
-    // arena_peak_kw deltas show what the passes buy on a formula
-    // shape they actually fire on.
-    qb::core::EngineOptions options = qb::core::EngineOptions::
-        singleLane(qb::core::VerifierOptions::laneB());
-    options.binaryAnalysis = false;
-    runMcxVerify(state, options, false, McxProgram::BinaryHeavy);
 }
 
 void
@@ -418,19 +360,7 @@ BENCHMARK(McxVerifyEnginePortfolioNoAnalysis)
     ->DenseRange(499, 3499, 500)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);
-BENCHMARK(McxVerifyEnginePortfolioNoBinaryAnalysis)
-    ->DenseRange(499, 3499, 500)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
-BENCHMARK(McxVerifyEnginePortfolioBinaryAnalysis)
-    ->DenseRange(499, 3499, 500)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
 BENCHMARK(McxVerifyEngineBinaryHeavy)
-    ->DenseRange(499, 3499, 500)
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
-BENCHMARK(McxVerifyEngineBinaryHeavyNoBinaryAnalysis)
     ->DenseRange(499, 3499, 500)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);

@@ -7,8 +7,8 @@
  * unrolled and branches rejected by elaboration, so dependency order
  * IS gate order and there are no join points in the control-flow
  * sense.  The fixpoint engine is therefore a single monotone sweep -
- * forward (runForward / forwardTrace) or backward (runBackward /
- * backwardTrace) - parameterized by a Domain:
+ * forward (runForward / forwardTrace) or backward (backwardTrace) -
+ * parameterized by a Domain:
  *
  *   struct Domain {
  *       using State = ...;                    // a lattice element
@@ -83,18 +83,6 @@ forwardTrace(const ir::Circuit &circuit, typename Domain::State initial)
         trace.push_back(std::move(next));
     }
     return trace;
-}
-
-/** Fold every gate of @p circuit into @p state in REVERSE gate order
- *  (the backward fixpoint, e.g. liveness from a boundary seed). */
-template <typename Domain>
-typename Domain::State
-runBackward(const ir::Circuit &circuit, typename Domain::State state)
-{
-    const auto &gates = circuit.gates();
-    for (auto it = gates.rbegin(); it != gates.rend(); ++it)
-        Domain::transferBackward(*it, state);
-    return state;
 }
 
 /**

@@ -10,12 +10,6 @@ using ir::Gate;
 using ir::QubitId;
 
 std::uint32_t
-gidneyMcxTarget(std::uint32_t m)
-{
-    return 2 * m - 1; // after the n = 2m-1 controls
-}
-
-std::uint32_t
 gidneyMcxAncilla(std::uint32_t m)
 {
     return 2 * m; // after the target

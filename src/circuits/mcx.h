@@ -30,8 +30,6 @@ namespace qb::circuits {
  */
 ir::Circuit gidneyMcx(std::uint32_t m);
 
-/** Id of the target qubit t in gidneyMcx(m). */
-std::uint32_t gidneyMcxTarget(std::uint32_t m);
 /** Id of the dirty ancilla anc in gidneyMcx(m). */
 std::uint32_t gidneyMcxAncilla(std::uint32_t m);
 /** Gate index at which anc's lifetime ends (its release point). */

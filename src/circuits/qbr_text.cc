@@ -146,10 +146,9 @@ binaryHeavyMcxQbrSource(std::uint32_t m)
     // self-inverse dressing borrowed from the adder's carry motif:
     // CNOT; X; CCNOT mixes the dirty wire into the AND arguments of
     // the ladder, which is exactly what gives the Tseitin encoding
-    // nested conjunction sharing - the shape whose binary implication
-    // graph carries equivalence cycles and transitively redundant
-    // edges.  The plain ladder's graph is a tree: SCC and transitive
-    // reduction provably find nothing there.
+    // nested conjunction sharing - a binary implication graph with
+    // equivalence cycles and transitively redundant edges, where the
+    // plain ladder's graph is a tree.
     std::string out = mcxQbrSource(m);
     const std::string decl = "borrow anc;\n";
     const std::string dress = R"(

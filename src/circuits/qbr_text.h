@@ -39,10 +39,8 @@ std::string mcxQbrSource(std::uint32_t m);
  * mcxQbrSource(m) - the dressing undoes itself - but the Tseitin
  * encoding of the dressed conditions gains nested, argument-sharing
  * conjunctions, so its binary implication graph carries equivalence
- * cycles and transitively redundant edges: the shapes the
- * binary-graph inprocessing passes exist for.  The bench-smoke CI
- * step asserts nonzero scc_merged_vars/transitive_reduced on this
- * program.
+ * cycles and transitively redundant edges (the plain ladder's graph
+ * is a tree).
  * @throws std::invalid_argument when m < 4 (see mcxQbrSource()).
  */
 std::string binaryHeavyMcxQbrSource(std::uint32_t m);
@@ -110,8 +108,8 @@ std::string wideLinearToffoliMirrorQbrSource(std::uint32_t n);
  * with a 2-7 gate body that touches the borrowed wire 60% of the
  * time, and a 0-2 gate suffix, gate kinds drawn uniformly.  The fuzz
  * harness (support/fuzz.h) raises cnotWeight to push the generated
- * programs into the binary-implication-heavy region the solver's
- * graph passes (SCC, probing, transitive reduction) exist for.
+ * programs into the binary-implication-heavy region of the solver's
+ * binary watch lists.
  */
 struct RandomQbrOptions
 {

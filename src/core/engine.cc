@@ -38,12 +38,11 @@ namespace {
  * branching/restart/phase identities.
  */
 sat::SolverConfig
-incrementalConfig(const VerifierOptions &options, bool binary_analysis)
+incrementalConfig(const VerifierOptions &options)
 {
     sat::SolverConfig cfg = options.solver;
     cfg.preprocess = false;
     cfg.conflictBudget = options.conflictBudget;
-    cfg.binaryAnalysis = cfg.binaryAnalysis && binary_analysis;
     return cfg;
 }
 
@@ -105,9 +104,9 @@ struct VerificationEngine::Lane
     unsigned queriesSinceInprocess = 0;
 
     Lane(int idx, const VerifierOptions &opts, const bexp::Arena &arena,
-         Scheduler &sched, unsigned band, bool binary_analysis)
+         Scheduler &sched, unsigned band)
         : index(idx), options(opts),
-          solver(incrementalConfig(opts, binary_analysis)),
+          solver(incrementalConfig(opts)),
           encoder(arena, solver, opts.encoding, opts.xorChunk),
           scratch(opts.solver.preprocess)
     {
@@ -115,10 +114,7 @@ struct VerificationEngine::Lane
             queue = sched.makeQueue(band);
         // Scratch lanes build their per-condition solvers straight
         // from the stored preset, bypassing incrementalConfig(): the
-        // engine-level binary-analysis switch and the lane's conflict
-        // budget must reach them here.
-        options.solver.binaryAnalysis =
-            options.solver.binaryAnalysis && binary_analysis;
+        // lane's conflict budget must reach them here.
         options.solver.conflictBudget = opts.conflictBudget;
     }
 };
@@ -221,7 +217,7 @@ VerificationEngine::VerificationEngine(
     for (const VerifierOptions &lane_options : options_.lanes)
         lanes_.push_back(std::make_unique<Lane>(
             index++, lane_options, arena, *scheduler_,
-            options_.fairnessBand, options_.binaryAnalysis));
+            options_.fairnessBand));
     if (cancel_) {
         cancel_->attach(this);
         // The source may have fired before this session existed:

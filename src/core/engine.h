@@ -82,27 +82,14 @@ struct EngineOptions
 
     /**
      * Slice-boundary inprocessing policy: each persistent lane runs
-     * Solver::inprocess() (clause vivification, backward subsumption,
-     * then an arena GC if warranted) after every this-many queries on
-     * that lane, at the query boundary where the epoch shrink already
-     * happens - never inside a slice chain.  0 disables.  The
+     * Solver::inprocess() (root clause cleaning, clause vivification,
+     * backward subsumption, then an arena GC if warranted) after every
+     * this-many queries on that lane, at the query boundary where the
+     * epoch shrink already happens - never inside a slice chain.  0 disables.  The
      * per-pass effort bounds live in sat::SolverConfig
      * (vivifyPropBudget, subsumeMaxSize, subsumeOccLimit).
      */
     unsigned inprocessInterval = 16;
-
-    /**
-     * Binary implication graph analysis inside each inprocessing
-     * pass (sat::SolverConfig::binaryAnalysis): SCC equivalence
-     * reduction, failed-literal probing with hyper-binary resolution,
-     * and transitive reduction over the binary clauses.  Every pass
-     * preserves the model set over the original variables, so
-     * verdicts and counterexamples are bit-identical with the switch
-     * on or off; only the solving work (and the binary-graph
-     * counters) differ.  On by default; --no-binary-analysis
-     * restores the PR 5 behavior.
-     */
-    bool binaryAnalysis = true;
 
     /**
      * Scheduler fairness band of this session's work (lane queues and
@@ -306,7 +293,7 @@ class VerificationEngine
      * per-lane peaks) plus the harvested totals of every retired
      * scratch-lane solver - preprocessing lanes discharge each
      * condition in a throwaway solver, and without the harvest their
-     * preprocessing and binary-graph work would vanish with it.
+     * preprocessing work would vanish with it.
      * Quiesces this session's scheduler work first, like
      * laneSolverStats().  The batch drivers copy this into
      * ProgramResult::solverTotals so reports and benchmarks can show

@@ -85,13 +85,7 @@ emitProgram(const ProgramResult &result,
     out += "\"gc_words_reclaimed\": " + count(s.gcWordsReclaimed) +
            ", ";
     out += "\"arena_peak_words\": " + count(s.arenaPeakWords) + ", ";
-    out += "\"peak_learnts\": " + count(s.peakLearnts) + ", ";
-    // Binary implication graph passes (--binary-analysis).
-    out += "\"scc_merged_vars\": " + count(s.sccMergedVars) + ", ";
-    out += "\"probed_failed\": " + count(s.probedFailed) + ", ";
-    out += "\"hyper_binaries\": " + count(s.hyperBinaries) + ", ";
-    out += "\"transitive_reduced\": " +
-           count(s.transitiveReduced);
+    out += "\"peak_learnts\": " + count(s.peakLearnts);
     out += "},";
     out += nl;
     // Static discharges: conditions proven UNSAT without a SAT call,

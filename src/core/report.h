@@ -32,8 +32,7 @@ std::string toJson(const QubitResult &result);
  *   "solver": { aggregated ProgramResult::solverTotals counters:
  *               conflicts, learnt/removed clauses, inprocessing
  *               (vivified, subsumed, strengthened), arena GC runs and
- *               peaks, binary-graph passes (scc_merged_vars,
- *               probed_failed, hyper_binaries, transitive_reduced) },
+ *               peaks },
  *   "analysis": { "analysis_discharged": n, "affine": n },
  *   "qubits": [ <QubitResult objects> ]
  * }

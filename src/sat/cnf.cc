@@ -23,15 +23,6 @@ Cnf::addClause(LitVec lits)
     clauses_.push_back(std::move(lits));
 }
 
-std::size_t
-Cnf::numLiterals() const
-{
-    std::size_t n = 0;
-    for (const LitVec &c : clauses_)
-        n += c.size();
-    return n;
-}
-
 bool
 Cnf::satisfiedBy(const std::vector<LBool> &assignment) const
 {

@@ -34,19 +34,15 @@ class Cnf
      */
     void addClause(LitVec lits);
 
-    /** Convenience single/binary/ternary clause adders. */
+    /** Convenience single/binary clause adders. */
     void addUnit(Lit a) { addClause({a}); }
     void addBinary(Lit a, Lit b) { addClause({a, b}); }
-    void addTernary(Lit a, Lit b, Lit c) { addClause({a, b, c}); }
 
     Var numVars() const { return numVars_; }
     std::size_t numClauses() const { return clauses_.size(); }
     const std::vector<LitVec> &clauses() const { return clauses_; }
     /** True when an empty clause was added. */
     bool trivialConflict() const { return trivialConflict_; }
-
-    /** Total number of literal occurrences. */
-    std::size_t numLiterals() const;
 
     /** Check a total/partial assignment against all clauses. */
     bool satisfiedBy(const std::vector<LBool> &assignment) const;

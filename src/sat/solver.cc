@@ -55,10 +55,6 @@ SolverStats::accumulate(const SolverStats &other)
     otfStrengthenedClauses += other.otfStrengthenedClauses;
     otfSkipped += other.otfSkipped;
     otfDeferredApplied += other.otfDeferredApplied;
-    sccMergedVars += other.sccMergedVars;
-    probedFailed += other.probedFailed;
-    hyperBinaries += other.hyperBinaries;
-    transitiveReduced += other.transitiveReduced;
     gcRuns += other.gcRuns;
     gcWordsReclaimed += other.gcWordsReclaimed;
     arenaPeakWords += other.arenaPeakWords;
@@ -82,6 +78,10 @@ litFromIndex(std::size_t idx)
  * unreachable as a real allocation in any practical arena.
  */
 constexpr ClauseRef kBinConflictRef = kRefUndef - 1;
+
+/** Bound on the strengthenings otfStrengthen() queues for the next
+ *  root boundary (oldest kept; see Solver::applyDeferredOtf()). */
+constexpr std::size_t kOtfDeferredMax = 64;
 
 } // namespace
 
@@ -216,8 +216,6 @@ Solver::newVar()
     polarity.push_back(cfg.initialPhaseTrue);
     activity.push_back(0.0);
     seen.push_back(0);
-    substituted.push_back(0);
-    subst.push_back(mkLit(v, false));
     watches.emplace_back();
     watches.emplace_back();
     binWatches.emplace_back();
@@ -267,12 +265,6 @@ Solver::addClause(LitVec lits)
         while (l.var() >= numVars())
             newVar();
     }
-    // Merged variables are fully retired: route every literal to its
-    // equivalence-class representative before simplification.
-    if (!eqStack.empty()) {
-        for (Lit &l : lits)
-            l = representativeOf(l);
-    }
     std::sort(lits.begin(), lits.end());
     LitVec kept;
     Lit prev = kUndefLit;
@@ -287,7 +279,6 @@ Solver::addClause(LitVec lits)
         okay = false;
         return false;
     }
-    binaryAnalysisPending = true;
     if (kept.size() == 1) {
         uncheckedEnqueue(kept[0], Reason());
         okay = propagate() == kRefUndef;
@@ -348,12 +339,11 @@ bool
 Solver::attachBinary(Lit a, Lit b, bool learnt)
 {
     qbAssert(a.var() != b.var(), "degenerate binary clause");
-    // Duplicate-aware: the graph passes keep the lists set-like, so a
-    // re-derived binary (hyper-binary resolution, equivalence
-    // rewriting, subsumption shrinks) must not file a second edge
-    // pair.  A problem-status duplicate of a learnt binary upgrades
-    // both existing entries instead, so no pass can ever retire what
-    // is really problem structure.
+    // Duplicate-aware: the lists stay set-like, so a re-derived
+    // binary (root cleaning, subsumption shrinks) must not file a
+    // second edge pair.  A problem-status duplicate of a learnt
+    // binary upgrades both existing entries instead, so no pass can
+    // ever retire what is really problem structure.
     auto &fwd = binWatches[(~a).index()];
     for (BinWatcher &w : fwd) {
         if (w.other != b)
@@ -378,8 +368,7 @@ Solver::checkInvariants() const
     // Live set + exact arena accounting: everything problemClauses
     // and learntClauses reference, and nothing else, occupies the
     // non-wasted part of the arena.  Binary clauses live only in the
-    // binary watch lists, so every arena clause has size >= 3, and no
-    // clause may name a variable the SCC pass retired.
+    // binary watch lists, so every arena clause has size >= 3.
     std::unordered_set<ClauseRef> live;
     std::size_t live_words = 0;
     for (const auto *list : {&problemClauses, &learntClauses}) {
@@ -389,10 +378,6 @@ Solver::checkInvariants() const
             const Clause &c = ca[cr];
             qbAssert(c.size() >= 3,
                      "invariant: short clause in the arena");
-            for (const Lit l : c)
-                qbAssert(!substituted[l.var()],
-                         "invariant: substituted variable in an "
-                         "arena clause");
             live_words += ClauseAllocator::kHeaderWords + c.size();
         }
     }
@@ -431,19 +416,14 @@ Solver::checkInvariants() const
 
     // The binary implication graph: every directed edge a→b (filed
     // under a's index with b inlined) appears once, never self-loops,
-    // never touches a substituted variable, and has its mirror edge
-    // ¬b→¬a filed with the SAME learnt flag - the two entries of one
-    // clause must agree on everything.
+    // and has its mirror edge ¬b→¬a filed with the SAME learnt flag -
+    // the two entries of one clause must agree on everything.
     std::unordered_map<std::uint64_t, bool> edges;
     for (std::size_t idx = 0; idx < binWatches.size(); ++idx) {
         const Lit trigger = litFromIndex(idx);
         for (const BinWatcher &w : binWatches[idx]) {
             qbAssert(w.other.var() != trigger.var(),
                      "invariant: self or tautological binary");
-            qbAssert(!substituted[trigger.var()] &&
-                         !substituted[w.other.var()],
-                     "invariant: substituted variable in a binary "
-                     "watch list");
             const std::uint64_t key =
                 (static_cast<std::uint64_t>(idx) << 32) |
                 static_cast<std::uint64_t>(w.other.index());
@@ -473,8 +453,6 @@ Solver::checkInvariants() const
     for (const Lit l : trail) {
         qbAssert(value(l) == LBool::True,
                  "invariant: false literal on the trail");
-        qbAssert(!substituted[l.var()],
-                 "invariant: substituted variable on the trail");
         const Reason r = reasons[l.var()];
         if (r.isUndef())
             continue;
@@ -490,26 +468,6 @@ Solver::checkInvariants() const
         qbAssert(c[0] == l,
                  "invariant: reason clause does not imply its "
                  "literal");
-    }
-
-    // Substituted variables are fully retired: unassigned,
-    // reason-less, and absent from every watch list (their clauses
-    // were rewritten onto the representatives).
-    for (Var v = 0; v < numVars(); ++v) {
-        if (!substituted[v])
-            continue;
-        qbAssert(assigns[v] == LBool::Undef,
-                 "invariant: substituted variable is assigned");
-        qbAssert(reasons[v].isUndef(),
-                 "invariant: substituted variable has a reason");
-        for (const bool s : {false, true}) {
-            const Lit l = mkLit(v, s);
-            qbAssert(watches[l.index()].empty(),
-                     "invariant: substituted variable still watched");
-            qbAssert(binWatches[l.index()].empty(),
-                     "invariant: substituted variable still in the "
-                     "binary graph");
-        }
     }
 }
 
@@ -831,24 +789,6 @@ Solver::analyzeFinal(Lit failed)
         }
         seen[failed.var()] = 0;
     }
-    // The search runs over class representatives; the caller reasons
-    // in its own (original) literals.  Translate the core back: an
-    // original assumption belongs whenever its representative is in
-    // the representative-level core.  This can only widen the core
-    // (several originals may share a representative), never miss -
-    // every core literal was an assumption, and every assumption is
-    // some original's image.
-    if (!eqStack.empty() && !originalAssumptions.empty()) {
-        std::unordered_set<std::int32_t> core;
-        for (const Lit l : conflictCore)
-            core.insert(l.x);
-        LitVec translated;
-        for (const Lit orig : originalAssumptions) {
-            if (core.count(representativeOf(orig).x) != 0)
-                translated.push_back(orig);
-        }
-        conflictCore = std::move(translated);
-    }
 }
 
 bool
@@ -935,8 +875,7 @@ Solver::otfStrengthen()
             // Remember the pair for the next root boundary, where the
             // edit is always safe, instead of waiting for the
             // slice-boundary vivification pass (see applyDeferredOtf).
-            if (cfg.otfDefer &&
-                otfDeferred.size() < cfg.otfDeferredMax)
+            if (otfDeferred.size() < kOtfDeferredMax)
                 otfDeferred.push_back({cr, pivot});
             continue;
         }
@@ -1087,20 +1026,17 @@ Solver::cancelUntil(int target_level)
 Lit
 Solver::pickBranchLit()
 {
-    // Substituted variables are retired from the search space: their
-    // value is a function of their representative's, reconstructed
-    // only for the model.
     if (cfg.useVsids) {
         while (!order->empty()) {
             // Peek by removing; re-inserted on backtrack.
             const Var v = order->removeMax();
-            if (assigns[v] == LBool::Undef && !substituted[v])
+            if (assigns[v] == LBool::Undef)
                 return mkLit(v, !polarity[v]);
         }
         return kUndefLit;
     }
     for (Var v = 0; v < numVars(); ++v) {
-        if (assigns[v] == LBool::Undef && !substituted[v])
+        if (assigns[v] == LBool::Undef)
             return mkLit(v, !polarity[v]);
     }
     return kUndefLit;
@@ -1378,7 +1314,6 @@ Solver::solve()
 SolveResult
 Solver::solve(const LitVec &assumps)
 {
-    originalAssumptions = assumps;
     assumptions = assumps;
     conflictCore.clear();
     conflictsAtCallStart = statistics.conflicts;
@@ -1387,13 +1322,6 @@ Solver::solve(const LitVec &assumps)
     for (Lit a : assumptions) {
         while (a.var() >= numVars())
             newVar();
-    }
-    // Assumptions over merged variables are redirected to their class
-    // representative; analyzeFinal() translates any core back to the
-    // caller's original literals.
-    if (!eqStack.empty()) {
-        for (Lit &a : assumptions)
-            a = representativeOf(a);
     }
     if (propagate() != kRefUndef) {
         okay = false;
@@ -1412,25 +1340,6 @@ Solver::solve(const LitVec &assumps)
         if (!okay)
             return SolveResult::Unsat;
     }
-    // Root-level binary-graph pass.  One-shot (assumption-free)
-    // solves rarely live long enough to reach the periodic
-    // inprocessing boundary, so the analysis also runs here - and it
-    // runs BEFORE bounded variable elimination: the equivalence
-    // cycles it merges (an XOR output fixed at root leaves its
-    // arguments binary-equivalent) are exactly the structures
-    // resolution would otherwise dissolve variable by variable.
-    // Assumption-based calls skip it - the passes assume a level-0
-    // trail that only contains facts.  The pending flag keeps sliced
-    // racing honest: a budget-exhausted lane re-enters solve() with
-    // the same problem formula, and re-probing it every slice costs
-    // more than the whole search.
-    if (cfg.binaryAnalysis && assumptions.empty() &&
-        binaryAnalysisPending) {
-        binaryAnalysisPending = false;
-        analyzeBinaryGraph();
-        if (!okay)
-            return SolveResult::Unsat;
-    }
     if (cfg.preprocess && assumptions.empty() && !preprocessed &&
         learntClauses.empty()) {
         preprocessed = true;
@@ -1441,7 +1350,7 @@ Solver::solve(const LitVec &assumps)
     }
     // Root boundary: land the strengthenings the last call's conflict
     // analysis could not apply mid-search.
-    if (cfg.otfDefer && !otfDeferred.empty()) {
+    if (!otfDeferred.empty()) {
         applyDeferredOtf();
         if (!okay)
             return SolveResult::Unsat;
@@ -1455,21 +1364,6 @@ Solver::solve(const LitVec &assumps)
         const SolveResult result = search(limit);
         if (result != SolveResult::Unknown) {
             if (result == SolveResult::Sat) {
-                // Extend the model over merged variables first: each
-                // one copies (or negates) its representative's value.
-                // Newest-first resolves cross-pass chains (v merged
-                // into u, u merged later still), and runs BEFORE the
-                // eliminated-variable reconstruction because clauses
-                // saved by an elimination that predates a merge can
-                // mention merged variables - whose values must exist
-                // by then.
-                for (auto it = eqStack.rbegin(); it != eqStack.rend();
-                     ++it) {
-                    const Lit rep = it->second;
-                    model[it->first] = rep.sign()
-                        ? lboolNeg(model[rep.var()])
-                        : model[rep.var()];
-                }
                 // Extend the model over eliminated variables.
                 for (auto it = elimStack.rbegin(); it != elimStack.rend();
                      ++it) {
@@ -1510,8 +1404,7 @@ Solver::solve(const LitVec &assumps)
         // A restart that lands at the root is also a safe point for
         // the deferred strengthenings (assumption-based calls keep
         // their assumption prefix and defer to the next solve()).
-        if (cfg.otfDefer && !otfDeferred.empty() &&
-            decisionLevel() == 0) {
+        if (!otfDeferred.empty() && decisionLevel() == 0) {
             applyDeferredOtf();
             if (!okay) {
                 cancelUntil(0);
@@ -1613,15 +1506,6 @@ Solver::preprocessEliminate()
     };
 
     std::vector<bool> frozen(numVars(), false);
-    // An SCC representative must survive elimination: the model
-    // reconstruction in solve() extends each merged variable from its
-    // representative's value BEFORE replaying eliminated variables,
-    // so a representative eliminated here would be read while still
-    // unset.  (Merged variables themselves need no freezing - they
-    // no longer occur in any clause, so the zero-occurrence skip
-    // below never touches them.)
-    for (const auto &entry : eqStack)
-        frozen[entry.second.var()] = true;
     std::vector<Var> queue;
     for (Var v = 0; v < numVars(); ++v)
         queue.push_back(v);
@@ -1786,10 +1670,12 @@ Solver::inprocess()
     if (!okay || !cfg.inprocessing)
         return okay;
     ++statistics.inprocessRuns;
-    if (cfg.binaryAnalysis)
-        analyzeBinaryGraph();
-    if (okay)
-        vivifyLearnts();
+    if (propagate() != kRefUndef) {
+        okay = false;
+        return okay;
+    }
+    cleanRootClauses();
+    vivifyLearnts();
     if (okay)
         backwardSubsume();
     maybeGarbageCollect();
@@ -2120,39 +2006,14 @@ Solver::backwardSubsume()
     }
 }
 
-Lit
-Solver::representativeOf(Lit l) const
-{
-    // Chase the substitution chain (SCC merges from successive
-    // inprocessing rounds may stack) to the un-substituted class
-    // representative, flipping polarity along negated links.
-    while (substituted[l.var()] != 0) {
-        const Lit rep = subst[l.var()];
-        l = l.sign() ? ~rep : rep;
-    }
-    return l;
-}
-
 /**
- * Slice-boundary analysis of the binary implication graph, run from
- * inprocess() under cfg.binaryAnalysis.  Order matters: the sweep
- * clears satisfied edges so the graph passes see only live 2-clauses;
- * SCC merging shrinks the variable space before probing spends its
- * budget; probing's new units and hyper-binaries are swept/fed into
- * transitive reduction last.  Every pass preserves satisfiability AND
- * the model set over the original variables (substitution is undone
- * in solve()'s model reconstruction), so verdicts and counterexamples
- * are bit-identical with the analysis on or off.
- */
-/**
- * Rewrite the long-clause database against the root trail before the
- * graph passes run: a root-satisfied clause drops, a root-false
- * literal drops from its clause, and a clause left with exactly two
- * free literals re-files as a REAL binary in the watch lists.  This
- * is what connects root units to the binary graph - an XOR gate whose
- * output is a root fact leaves its two ternaries as the equivalence
- * pair (x | y), (~x | ~y), but SCC reduction can only see that pair
- * once it lives in the binary lists.
+ * Rewrite the long-clause database against the root trail: a
+ * root-satisfied clause drops, a root-false literal drops from its
+ * clause, and a clause left with exactly two free literals re-files as
+ * a binary in the watch lists, where propagation needs no arena read.
+ * Problem clauses included - vivification only shortens learnt ones -
+ * so an XOR gate whose output became a root fact leaves its ternaries
+ * as plain binaries.  Requires the root propagation fixpoint.
  */
 void
 Solver::cleanRootClauses()
@@ -2216,488 +2077,6 @@ Solver::cleanRootClauses()
                      "root fixpoint leaves >= 2 free literals");
             attachBinary(kept[0], kept[1], learnt);
         }
-    }
-}
-
-void
-Solver::analyzeBinaryGraph()
-{
-    qbAssert(decisionLevel() == 0, "binary analysis above root level");
-    if (propagate() != kRefUndef) {
-        okay = false;
-        return;
-    }
-    cleanRootClauses();
-    sweepSatisfiedBinaries();
-    if (sccEquivalenceReduce()) {
-        if (!okay)
-            return;
-        applyEquivalences();
-        if (!okay)
-            return;
-        sweepSatisfiedBinaries();
-    }
-    if (!okay)
-        return;
-    probeFailedLiterals();
-    if (!okay)
-        return;
-    sweepSatisfiedBinaries();
-    transitiveReduce();
-}
-
-void
-Solver::sweepSatisfiedBinaries()
-{
-    // At the root propagation fixpoint every binary with an assigned
-    // endpoint is satisfied (a false endpoint would have propagated
-    // the other literal true), so dropping the edge loses nothing.
-    // Not counted as clause removals: the constraint is absorbed by
-    // the trail, exactly like the root-satisfied long-clause sweeps.
-    for (std::size_t idx = 0; idx < binWatches.size(); ++idx) {
-        auto &list = binWatches[idx];
-        if (list.empty())
-            continue;
-        if (assigns[litFromIndex(idx).var()] != LBool::Undef) {
-            list.clear();
-            continue;
-        }
-        std::erase_if(list, [this](const BinWatcher &w) {
-            return assigns[w.other.var()] != LBool::Undef;
-        });
-    }
-}
-
-/**
- * Tarjan SCC over the binary implication graph.  A strongly connected
- * component is a class of pairwise-equivalent literals: the
- * lowest-index member becomes the representative and the others are
- * substituted away (committed to substituted/subst/eqStack; the
- * clause database is rewritten by applyEquivalences()).  The graph is
- * skew-symmetric (u->v iff ~v->~u), so the complement of a component
- * is a component and min(~C) == ~min(C): both polarities of a merged
- * variable agree on their representative, and a variable is merged at
- * most once.  A component holding both polarities of one variable is
- * a root contradiction: latch Unsat and commit nothing.  Returns true
- * when at least one variable was merged.
- */
-bool
-Solver::sccEquivalenceReduce()
-{
-    const std::size_t n = binWatches.size();
-    std::vector<std::uint32_t> index(n, 0);
-    std::vector<std::uint32_t> low(n, 0);
-    std::vector<char> onStack(n, 0);
-    std::vector<std::uint32_t> sccStack;
-    std::uint32_t nextIndex = 0;
-    struct Frame
-    {
-        std::uint32_t node;
-        std::uint32_t child;
-    };
-    std::vector<Frame> dfs;
-    std::vector<char> memberSeen(numVars(), 0);
-    std::vector<char> mergedNow(numVars(), 0);
-    std::vector<std::uint32_t> comp;
-    std::vector<std::pair<Var, Lit>> pending;
-
-    for (std::size_t root = 0; root < n; ++root) {
-        if (index[root] != 0 || binWatches[root].empty())
-            continue;
-        if (assigns[litFromIndex(root).var()] != LBool::Undef)
-            continue;
-        index[root] = low[root] = ++nextIndex;
-        onStack[root] = 1;
-        sccStack.push_back(static_cast<std::uint32_t>(root));
-        dfs.push_back({static_cast<std::uint32_t>(root), 0});
-        while (!dfs.empty()) {
-            Frame &f = dfs.back();
-            if (f.child < binWatches[f.node].size()) {
-                const auto v = static_cast<std::uint32_t>(
-                    binWatches[f.node][f.child++].other.index());
-                if (index[v] == 0) {
-                    index[v] = low[v] = ++nextIndex;
-                    onStack[v] = 1;
-                    sccStack.push_back(v);
-                    dfs.push_back({v, 0});
-                } else if (onStack[v] != 0) {
-                    low[f.node] = std::min(low[f.node], index[v]);
-                }
-                continue;
-            }
-            const std::uint32_t u = f.node;
-            dfs.pop_back();
-            if (!dfs.empty())
-                low[dfs.back().node] =
-                    std::min(low[dfs.back().node], low[u]);
-            if (low[u] != index[u])
-                continue;
-            comp.clear();
-            for (;;) {
-                const std::uint32_t m = sccStack.back();
-                sccStack.pop_back();
-                onStack[m] = 0;
-                comp.push_back(m);
-                if (m == u)
-                    break;
-            }
-            if (comp.size() < 2)
-                continue;
-            bool contradiction = false;
-            for (const std::uint32_t mi : comp) {
-                const Var mv = litFromIndex(mi).var();
-                if (memberSeen[mv] != 0) {
-                    contradiction = true;
-                    break;
-                }
-                memberSeen[mv] = 1;
-            }
-            for (const std::uint32_t mi : comp)
-                memberSeen[litFromIndex(mi).var()] = 0;
-            if (contradiction) {
-                okay = false;
-                return false;
-            }
-            std::uint32_t minIdx = comp[0];
-            for (const std::uint32_t mi : comp)
-                minIdx = std::min(minIdx, mi);
-            const Lit rep = litFromIndex(minIdx);
-            for (const std::uint32_t mi : comp) {
-                if (mi == minIdx)
-                    continue;
-                const Lit ml = litFromIndex(mi);
-                if (mergedNow[ml.var()] != 0)
-                    continue; // complement class already merged it
-                mergedNow[ml.var()] = 1;
-                pending.emplace_back(ml.var(),
-                                     ml.sign() ? ~rep : rep);
-            }
-        }
-    }
-    if (pending.empty())
-        return false;
-    for (const auto &[v, repLit] : pending) {
-        substituted[v] = 1;
-        subst[v] = repLit;
-        eqStack.emplace_back(v, repLit);
-    }
-    statistics.sccMergedVars +=
-        static_cast<std::int64_t>(pending.size());
-    return true;
-}
-
-/**
- * Rewrite the whole clause database through the substitution just
- * committed by sccEquivalenceReduce(): every literal is replaced by
- * its representative, then each clause is re-normalized exactly like
- * addClause() (satisfied/tautological clauses drop, duplicate and
- * root-false literals drop, units go to the root trail).  Long
- * clauses are re-allocated only when touched; the binary lists are
- * rebuilt wholesale, which also restores watcher-pair symmetry.
- * Afterwards no substituted variable appears anywhere in the solver -
- * the extended checkInvariants() asserts exactly that.
- */
-void
-Solver::applyEquivalences()
-{
-    qbAssert(decisionLevel() == 0, "substitution above root level");
-    // Root assignments keep their values, but their reason clauses
-    // may be rewritten or dissolved below - drop the references (root
-    // facts need no justification; see preprocessEliminate()).
-    for (const Lit l : trail)
-        reasons[l.var()] = Reason();
-    for (auto *list : {&problemClauses, &learntClauses}) {
-        for (std::size_t i = 0; i < list->size();) {
-            const ClauseRef cr = (*list)[i];
-            Clause &c = ca[cr];
-            bool touched = false;
-            for (const Lit l : c)
-                touched |= substituted[l.var()] != 0;
-            if (!touched) {
-                ++i;
-                continue;
-            }
-            LitVec lits;
-            lits.reserve(c.size());
-            for (const Lit l : c)
-                lits.push_back(representativeOf(l));
-            const bool learnt = c.learnt();
-            const unsigned lbd = c.lbd();
-            const float act = c.activity();
-            std::sort(lits.begin(), lits.end());
-            LitVec kept;
-            bool dropClause = false;
-            Lit prev = kUndefLit;
-            for (const Lit l : lits) {
-                if (value(l) == LBool::True ||
-                    (prev != kUndefLit && l == ~prev)) {
-                    dropClause = true; // satisfied or tautological
-                    break;
-                }
-                if (value(l) == LBool::False || l == prev)
-                    continue;
-                kept.push_back(l);
-                prev = l;
-            }
-            detachClause(cr);
-            purgeDeferredOtf(cr);
-            ca.free(cr);
-            if (!dropClause && kept.size() >= 3) {
-                const ClauseRef nr = ca.alloc(
-                    kept, learnt,
-                    std::min(lbd,
-                             static_cast<unsigned>(kept.size())),
-                    act);
-                (*list)[i] = nr;
-                attachClause(nr);
-                ++i;
-                continue;
-            }
-            (*list)[i] = list->back();
-            list->pop_back();
-            if (dropClause)
-                continue;
-            if (kept.size() == 2) {
-                attachBinary(kept[0], kept[1], learnt);
-                continue;
-            }
-            if (kept.size() == 1) {
-                // kept holds only root-unassigned literals.
-                uncheckedEnqueue(kept[0], Reason());
-                continue;
-            }
-            okay = false; // every literal false at the root
-            return;
-        }
-    }
-    // Rebuild the binary lists through the substitution.
-    struct BinClause
-    {
-        Lit a, b;
-        bool learnt;
-    };
-    std::vector<BinClause> bins;
-    for (std::size_t idx = 0; idx < binWatches.size(); ++idx) {
-        const Lit a = ~litFromIndex(idx);
-        for (const BinWatcher &w : binWatches[idx])
-            if (a < w.other)
-                bins.push_back({a, w.other, w.learnt});
-    }
-    for (auto &list : binWatches)
-        list.clear();
-    for (const BinClause &bc : bins) {
-        const Lit a = representativeOf(bc.a);
-        const Lit b = representativeOf(bc.b);
-        if (a == ~b)
-            continue; // tautology
-        if (value(a) == LBool::True || value(b) == LBool::True)
-            continue;
-        Lit unit = kUndefLit;
-        if (a == b || value(b) == LBool::False)
-            unit = a;
-        else if (value(a) == LBool::False)
-            unit = b;
-        if (unit != kUndefLit) {
-            if (value(unit) == LBool::False) {
-                okay = false;
-                return;
-            }
-            if (value(unit) == LBool::Undef)
-                uncheckedEnqueue(unit, Reason());
-            continue;
-        }
-        attachBinary(a, b, bc.learnt);
-    }
-    notePeaks();
-    okay = propagate() == kRefUndef;
-}
-
-/**
- * Failed-literal probing at the roots of the binary implication
- * graph: literals with binary successors but no binary predecessor
- * (anything a non-root implies is probed transitively for free when
- * its root fails, so roots give the best coverage per propagation).
- * A probe that conflicts proves the negation as a root unit, learnt
- * through the regular first-UIP analysis; a quiet probe is mined for
- * lazy hyper-binary resolvents: every trail literal x justified by a
- * LONG clause gains the edge probe -> x (binary-justified literals
- * already have a graph path, the new edge would only feed transitive
- * reduction).  Budgeted in propagations like vivification.
- */
-void
-Solver::probeFailedLiterals()
-{
-    std::int64_t budget = cfg.probePropBudget;
-    LitVec learnt;
-    int btlevel = 0;
-    unsigned lbd = 0;
-    // Probing assigns and retracts whole propagation cones, and
-    // uncheckedEnqueue records each assignment as the variable's
-    // saved phase.  Left alone that would replace the configured
-    // initial polarity of every probed cone with probe-derived
-    // values and measurably degrade the subsequent search (the probe
-    // order has nothing to do with good phases).  Restore the saved
-    // phases when the pass is done.
-    const std::vector<bool> savedPolarity = polarity;
-    struct PhaseGuard
-    {
-        std::vector<bool> &live;
-        const std::vector<bool> &saved;
-        ~PhaseGuard() { live = saved; }
-    } phaseGuard{polarity, savedPolarity};
-    for (std::size_t idx = 0;
-         idx < binWatches.size() && okay && budget > 0; ++idx) {
-        if (binWatches[idx].empty())
-            continue;
-        const Lit l = litFromIndex(idx);
-        if (assigns[l.var()] != LBool::Undef)
-            continue;
-        if (!binWatches[(~l).index()].empty())
-            continue; // not a root: something implies l
-        trailLim.push_back(static_cast<int>(trail.size()));
-        uncheckedEnqueue(l, Reason());
-        const std::int64_t before = statistics.propagations;
-        const ClauseRef confl = propagate();
-        budget -= statistics.propagations - before;
-        if (confl != kRefUndef) {
-            ++statistics.probedFailed;
-            analyze(confl, learnt, btlevel, lbd);
-            otfCandidates.clear(); // no search() to apply them
-            cancelUntil(0);
-            // All other literals in a level-1 conflict sit at level 0
-            // and analyze() excludes those: the learnt clause is the
-            // asserting unit ~(failed prefix) alone.
-            qbAssert(learnt.size() == 1,
-                     "probe conflict must yield a unit");
-            const Lit unit = learnt[0];
-            if (value(unit) == LBool::False) {
-                okay = false;
-                return;
-            }
-            if (value(unit) == LBool::Undef) {
-                uncheckedEnqueue(unit, Reason());
-                if (propagate() != kRefUndef) {
-                    okay = false;
-                    return;
-                }
-            }
-            continue;
-        }
-        const auto base = static_cast<std::size_t>(trailLim.back());
-        for (std::size_t t = base + 1; t < trail.size(); ++t) {
-            const Lit x = trail[t];
-            if (reasons[x.var()].isClause() &&
-                attachBinary(~l, x, /*learnt=*/true))
-                ++statistics.hyperBinaries;
-        }
-        cancelUntil(0);
-    }
-}
-
-/**
- * Transitive reduction of the binary implication graph.  One DFS
- * forest assigns discovery/finish stamps; its tree edges are the
- * WITNESS set, keyed per CLAUSE (unordered literal pair) so a clause
- * that is a tree edge in either direction is never removed - every
- * removal below is therefore justified by a path of permanently-kept
- * clauses, with no circular "A covered by B, B covered by A" risk.
- * Within each watch list, sorted by successor discovery stamp, a
- * running cover horizon (max finish stamp over witness successors
- * seen so far) identifies covered edges in one pass: disc[s] <
- * disc[v] < fin[s] puts v inside witness-successor s's DFS subtree,
- * i.e. reachable from s through tree edges alone.  The stamp order
- * and the sort are deterministic, so reduction is identical across
- * --jobs configurations.
- */
-void
-Solver::transitiveReduce()
-{
-    const std::size_t n = binWatches.size();
-    std::vector<std::uint32_t> disc(n, 0);
-    std::vector<std::uint32_t> fin(n, 0);
-    std::uint32_t stamp = 0;
-    std::unordered_set<std::uint64_t> witness;
-    const auto clauseKey = [](Lit x, Lit y) {
-        auto xi = static_cast<std::uint64_t>(x.index());
-        auto yi = static_cast<std::uint64_t>(y.index());
-        if (xi > yi)
-            std::swap(xi, yi);
-        return (xi << 32) | yi;
-    };
-    struct Frame
-    {
-        std::uint32_t node;
-        std::uint32_t child;
-    };
-    std::vector<Frame> dfs;
-    for (std::size_t root = 0; root < n; ++root) {
-        if (disc[root] != 0 || binWatches[root].empty())
-            continue;
-        if (assigns[litFromIndex(root).var()] != LBool::Undef)
-            continue;
-        disc[root] = ++stamp;
-        dfs.push_back({static_cast<std::uint32_t>(root), 0});
-        while (!dfs.empty()) {
-            Frame &f = dfs.back();
-            if (f.child < binWatches[f.node].size()) {
-                const Lit to = binWatches[f.node][f.child++].other;
-                const auto v =
-                    static_cast<std::uint32_t>(to.index());
-                if (disc[v] == 0) {
-                    disc[v] = ++stamp;
-                    witness.insert(
-                        clauseKey(~litFromIndex(f.node), to));
-                    dfs.push_back({v, 0});
-                }
-                continue;
-            }
-            fin[f.node] = ++stamp;
-            dfs.pop_back();
-        }
-    }
-    for (std::size_t u = 0; u < n; ++u) {
-        auto &list = binWatches[u];
-        if (list.size() < 2)
-            continue;
-        if (assigns[litFromIndex(u).var()] != LBool::Undef)
-            continue;
-        const Lit back = ~litFromIndex(u);
-        std::sort(list.begin(), list.end(),
-                  [&disc](const BinWatcher &x, const BinWatcher &y) {
-                      return disc[x.other.index()] <
-                             disc[y.other.index()];
-                  });
-        std::uint32_t coverEnd = 0;
-        std::vector<BinWatcher> keptList;
-        keptList.reserve(list.size());
-        for (const BinWatcher &w : list) {
-            const auto v =
-                static_cast<std::uint32_t>(w.other.index());
-            if (witness.count(clauseKey(back, w.other)) != 0) {
-                keptList.push_back(w);
-                coverEnd = std::max(coverEnd, fin[v]);
-                continue;
-            }
-            if (disc[v] < coverEnd) {
-                // Covered: drop the clause - this entry plus its
-                // mirror (never in this same list: a self-mirroring
-                // entry would be the degenerate clause (l | l),
-                // which attachBinary() rejects).
-                auto &mirror = binWatches[(~w.other).index()];
-                for (std::size_t k = 0; k < mirror.size(); ++k) {
-                    if (mirror[k].other == back) {
-                        mirror[k] = mirror.back();
-                        mirror.pop_back();
-                        break;
-                    }
-                }
-                ++statistics.transitiveReduced;
-                ++statistics.removedClauses;
-                continue;
-            }
-            keptList.push_back(w);
-        }
-        list.swap(keptList);
     }
 }
 

@@ -25,11 +25,9 @@
  * proves it), then falls through to the long clauses under the
  * blocker scheme.
  * Long-lived incremental solvers additionally support inprocessing -
- * binary-implication-graph analysis (Tarjan SCC equivalence
- * reduction, failed-literal probing with hyper-binary resolution,
- * stamp-based transitive reduction; see analyzeBinaryGraph()), clause
- * vivification and backward subsumption - which the verification
- * engine runs at slice boundaries between queries, and ON-THE-FLY
+ * root clause cleaning, clause vivification and backward
+ * subsumption - which the verification engine runs at slice
+ * boundaries between queries, and ON-THE-FLY
  * self-subsumption during conflict analysis: when the freshly learnt
  * clause self-subsumes one of its antecedents, the antecedent is
  * strengthened in place at learn time instead of waiting for the
@@ -144,20 +142,8 @@ struct SolverConfig
     /** @name Inprocessing knobs (see Solver::inprocess()). @{ */
     /** Master switch: inprocess() is a no-op when false. */
     bool inprocessing = true;
-    /**
-     * Binary-implication-graph analysis at inprocess() time: Tarjan
-     * SCC equivalence reduction, failed-literal probing with
-     * hyper-binary resolution, and stamp-based transitive reduction
-     * (see Solver::analyzeBinaryGraph()).  Every transformation is
-     * satisfiability- and model-preserving (models are reconstructed
-     * over merged variables), so verdicts and counterexamples are
-     * identical with the pass on or off.
-     */
-    bool binaryAnalysis = true;
     /** Propagation budget per vivification pass. */
     std::int64_t vivifyPropBudget = 100000;
-    /** Propagation budget per failed-literal probing pass. */
-    std::int64_t probePropBudget = 20000;
     /** Clauses longer than this are never used as subsumers. */
     unsigned subsumeMaxSize = 12;
     /** Occurrence-list length cap per candidate subsumer literal. */
@@ -171,23 +157,14 @@ struct SolverConfig
      * its pivot literal (a constant-time size check per resolution
      * step), that antecedent is strengthened in the arena right
      * after backtracking (see Solver::otfStrengthen()) instead of
-     * waiting for the slice-boundary subsumption pass.
+     * waiting for the slice-boundary subsumption pass.  A candidate
+     * that cannot be applied mid-search is queued and applied at the
+     * next root boundary - solve() entry, or a restart that returns to
+     * level 0 - where the edit is always safe.
      */
     bool otfSubsume = true;
     /** Strengthening candidates remembered per conflict. */
     unsigned otfMaxAntecedents = 32;
-    /**
-     * Candidates otfStrengthen() cannot apply mid-search (fewer than
-     * two non-false literals would remain at the backtrack level) are
-     * QUEUED instead of dropped, and applied at the next root
-     * boundary - solve() entry, or a restart that returns to level 0 -
-     * where the edit is always safe.  Without deferral those
-     * strengthenings wait for the next slice-boundary vivification
-     * pass, which may be many queries away.
-     */
-    bool otfDefer = true;
-    /** Bound on queued deferred strengthenings (oldest kept). */
-    unsigned otfDeferredMax = 64;
     /** @} */
 
     /** Plain CDCL: the paper's "CVC5 lane". */
@@ -229,20 +206,8 @@ struct SolverStats
      *  mid-search (fewer than two non-false literals would remain). */
     std::int64_t otfSkipped = 0;
     /** Skipped OTF candidates applied later at a root boundary (see
-     *  SolverConfig::otfDefer). */
+     *  Solver::applyDeferredOtf()). */
     std::int64_t otfDeferredApplied = 0;
-    /** Variables merged into an equivalence-class representative by
-     *  the SCC pass (each one permanently leaves the search space). */
-    std::int64_t sccMergedVars = 0;
-    /** Probed literals that propagated a conflict, each learning its
-     *  negation as a root unit. */
-    std::int64_t probedFailed = 0;
-    /** Hyper-binary resolvents harvested during probing: binaries
-     *  (~probe ∨ implied) recorded for implications that only existed
-     *  through long clauses. */
-    std::int64_t hyperBinaries = 0;
-    /** Redundant binary clauses dropped by transitive reduction. */
-    std::int64_t transitiveReduced = 0;
     std::int64_t gcRuns = 0;            ///< arena compactions
     std::int64_t gcWordsReclaimed = 0;  ///< 32-bit words freed by GC
     std::int64_t arenaPeakWords = 0;    ///< peak clause-arena size
@@ -317,16 +282,6 @@ class Solver
     void setStopFlag(const std::atomic<bool> *flag) { stopFlag = flag; }
 
     /**
-     * Replace the conflict budget (counted per solve() call, -1 for
-     * unlimited).  Exists so a session can re-tune an incremental
-     * solver between calls without rebuilding it.
-     */
-    void setConflictBudget(std::int64_t budget)
-    {
-        cfg.conflictBudget = budget;
-    }
-
-    /**
      * Drop learnt clauses with LBD above @p max_lbd.  Root-locked
      * clauses are always kept.  Incremental sessions call this between
      * queries: low-LBD
@@ -339,14 +294,15 @@ class Solver
 
     /**
      * Between-queries inprocessing for long-lived incremental solvers:
-     * clause VIVIFICATION (shorten learnt clauses whose literal prefix
-     * already propagates a conflict or an implied literal) followed by
-     * backward SUBSUMPTION with self-subsuming resolution over the
-     * whole database, then an arena GC if warranted.  Bounded by the
-     * SolverConfig vivify/subsume knobs; a no-op when
-     * SolverConfig::inprocessing is false.  Must be called at decision
-     * level 0, outside solve(); the verification engine runs it at
-     * slice boundaries between queries.
+     * root clause CLEANING (drop root-satisfied clauses and root-false
+     * literals, see cleanRootClauses()), clause VIVIFICATION (shorten
+     * learnt clauses whose literal prefix already propagates a
+     * conflict or an implied literal), then backward SUBSUMPTION with
+     * self-subsuming resolution over the whole database, then an
+     * arena GC if warranted.  Bounded by the SolverConfig
+     * vivify/subsume knobs; a no-op when SolverConfig::inprocessing is
+     * false.  Must be called at decision level 0, outside solve(); the
+     * verification engine runs it at slice boundaries between queries.
      *
      * @return false when inprocessing derived root unsatisfiability
      *         (subsequent solve() calls return Unsat).
@@ -373,9 +329,7 @@ class Solver
      * blocker drawn from the clause, every watcher points at a live
      * clause, the binary implication graph is well formed (each edge
      * a→b has its mirror ¬b→¬a filed with the same learnt flag, no
-     * self- or duplicate binaries, no substituted or assigned-at-root
-     * endpoints at a quiesced root), substituted variables are absent
-     * from the trail and every watch list, every assigned variable's
+     * self- or duplicate binaries), every assigned variable's
      * reason is consistent (long reasons live with the implied
      * literal in slot 0, binary reasons with a false other literal),
      * and the arena's waste accounting is exact (live words + wasted
@@ -434,30 +388,10 @@ class Solver
         bool becameBinary = false;
     };
     Strengthened strengthenInPlace(ClauseRef cr, Lit l);
-    /** Resolve @p l through the accumulated equivalence
-     *  substitutions to its class representative (identity for
-     *  unmerged variables). */
-    Lit representativeOf(Lit l) const;
-    /**
-     * The slice-boundary binary-implication-graph analysis
-     * (SolverConfig::binaryAnalysis): sweep satisfied binaries, then
-     * Tarjan SCC equivalence reduction with representative
-     * substitution through the whole solver, then failed-literal
-     * probing at graph roots with hyper-binary resolution, then
-     * stamp-based transitive reduction.  Root level only.  Sets
-     * okay = false when the analysis derives unsatisfiability.
-     */
-    void analyzeBinaryGraph();
     /** Rewrite the long-clause database against the root trail:
      *  satisfied clauses drop, root-false literals drop, and a
-     *  clause left with two literals re-files as a true binary -
-     *  exactly the edges the graph passes below consume. */
+     *  clause left with two literals re-files as a binary. */
     void cleanRootClauses();
-    void sweepSatisfiedBinaries();
-    bool sccEquivalenceReduce();
-    void applyEquivalences();
-    void probeFailedLiterals();
-    void transitiveReduce();
     void restoreEliminated();
     void cancelUntil(int target_level);
     Lit pickBranchLit();
@@ -510,7 +444,8 @@ class Solver
      *  otfStrengthen() after backtracking, cleared every conflict. */
     std::vector<OtfCandidate> otfCandidates;
     /** Candidates otfStrengthen() skipped mid-search, waiting for the
-     *  next root boundary (SolverConfig::otfDefer).  Every entry's
+     *  next root boundary, where the edit is always safe (bounded;
+     *  see applyDeferredOtf()).  Every entry's
      *  cref is LIVE: all clause-free sites purge matching entries,
      *  and relocAll() relocates the refs with the arena. */
     std::vector<OtfCandidate> otfDeferred;
@@ -521,37 +456,12 @@ class Solver
     double claInc = 1.0;
     bool okay = true;
     bool preprocessed = false;
-    /** The solve-entry binary-graph pass is due: set whenever new
-     *  problem clauses arrive, cleared after a pass.  Keeps budgeted
-     *  slice resumptions (racing lanes re-enter solve() with only new
-     *  LEARNT clauses) from re-running SCC/probing/reduction on an
-     *  unchanged formula. */
-    bool binaryAnalysisPending = true;
 
     /** The two literals of a conflicting binary clause found by
      *  propagate(), which has no arena clause to return: propagate()
      *  reports the sentinel kBinConflictRef and analyze()/solve()
      *  read the conflict literals from here. */
     Lit binConflict[2] = {kUndefLit, kUndefLit};
-
-    /** @name Equivalence-literal substitution (SCC pass). @{ */
-    /** Per-variable: merged into another class representative by
-     *  sccEquivalenceReduce()?  Substituted variables are fully
-     *  retired: no watches, no assignments, never branched on. */
-    std::vector<char> substituted;
-    /** For substituted v: the literal mkLit(v, false) maps to (one
-     *  hop; chains only arise across separate passes and are
-     *  resolved by representativeOf()). */
-    std::vector<Lit> subst;
-    /** Merge log, oldest first: (variable, literal it was merged
-     *  into), replayed newest-first by solve() to extend a model
-     *  over substituted variables before elimStack reconstruction. */
-    std::vector<std::pair<Var, Lit>> eqStack;
-    /** The caller's literals for the current solve(assumptions)
-     *  call, pre-substitution: failedAssumptions() cores are
-     *  translated back to these. */
-    LitVec originalAssumptions;
-    /** @} */
 
     LitVec assumptions;  ///< active assumptions of the current call
     LitVec conflictCore; ///< failed assumptions of the last Unsat

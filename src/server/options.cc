@@ -1,6 +1,7 @@
 #include "server/options.h"
 
 #include <climits>
+#include <cstring>
 
 #include "support/logging.h"
 #include "support/strings.h"
@@ -38,14 +39,8 @@ const flags::Row kRows[] = {
      "without --budget, results are identical for any N", nullptr,
      Local | Serve},
     {"--inprocess", Kind::Int, "16", 0, kUint, nullptr, "N",
-     "persistent lanes vivify/subsume their clause DB every N queries "
-     "(default 16, 0 disables)", nullptr, Local | Serve, true},
-    {"--no-binary-analysis", Kind::Bool, "true", 0, 0, nullptr, nullptr,
-     "skip inprocessing's binary implication graph passes (results "
-     "are unchanged)", nullptr, Local | Serve, true},
-    {"--binary-analysis", Kind::Alias, "true", 0, 0,
-     "--no-binary-analysis", nullptr, "run them (the default)", nullptr,
-     Local | Serve},
+     "persistent lanes clean/vivify/subsume their clause DB every N "
+     "queries (default 16, 0 disables)", nullptr, Local | Serve, true},
     {"--analysis", Kind::Enum, "all", 0, 0, "all|off|affine", nullptr,
      "static condition discharge: all (default) = its one pass affine; "
      "off for SAT-only", nullptr, Local | Serve, true},
@@ -138,7 +133,6 @@ engineOptions(const Settings &settings)
                           : core::VerifierOptions::laneB());
     options.jobs = settings.number(Opt::Jobs);
     options.inprocessInterval = settings.number(Opt::Inprocess);
-    options.binaryAnalysis = settings.on(Opt::BinaryAnalysis);
     if (settings.text(Opt::Analysis) == "off")
         options.analysis = analysis::AnalysisOptions::none();
     for (core::VerifierOptions &lane_options : options.lanes) {
@@ -162,9 +156,22 @@ fingerprint(const Settings &settings)
 std::string
 requestOptionsJson(const Settings &settings)
 {
+    // A row counts as given when it or an alias of it was set
+    // (--portfolio writes --lane's value but marks its own row).
+    const auto given = [&settings](std::size_t i) {
+        for (std::size_t j = 0; j < std::size(kRows); ++j)
+            if (settings.values[j].set &&
+                (j == i || (kRows[j].kind == Kind::Alias &&
+                            std::strcmp(kRows[j].choices,
+                                        kRows[i].flag) == 0)))
+                return true;
+        return false;
+    };
     std::string out;
     for (std::size_t i = 0; i < std::size(kRows); ++i) {
-        if (!kRows[i].member)
+        // Only what the command line gave: an unset row must leave
+        // the daemon's own default in force.
+        if (!kRows[i].member || !given(i))
             continue;
         const std::string &text = settings.values[i].text;
         out += format(out.empty() ? "{\"%s\": " : ", \"%s\": ",
@@ -173,7 +180,7 @@ requestOptionsJson(const Settings &settings)
             kRows[i].kind == Kind::Bool || kRows[i].kind == Kind::Int;
         out += bare ? text : '"' + jsonEscape(text) + '"';
     }
-    return out + '}';
+    return out.empty() ? "{}" : out + '}';
 }
 
 void

@@ -26,7 +26,7 @@ enum Mode : unsigned { Local = 1, Serve = 2, Connect = 4 };
 /** Every qborrow option, in the order of optionRows(). */
 enum class Opt : std::size_t {
     Lane, Portfolio, Clean, Counterexample, Budget,
-    Jobs, Inprocess, BinaryAnalysis, BinaryAnalysisOn, Analysis,
+    Jobs, Inprocess, Analysis,
     Lint, NoLint, AnalysisWindow, DumpCircuit, Json, Quiet,
     ServePath, ServeTcp, Parallel, Queue, MaxConnections, MaxInflight,
     IdleTimeout, ResultCache, AuthToken, Token,
@@ -61,7 +61,8 @@ core::EngineOptions engineOptions(const Settings &settings);
 /** Result-cache key: the values of the fingerprinted rows. */
 std::string fingerprint(const Settings &settings);
 
-/** The rows with a protocol member, as a request's `options`. */
+/** The rows with a protocol member that were given (themselves or
+ *  through an alias), as a request's `options`. */
 std::string requestOptionsJson(const Settings &settings);
 
 /** Warn once for each set flag that has no effect in @p mode. */

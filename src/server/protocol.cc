@@ -570,14 +570,6 @@ statsResponse(std::int64_t id, const StatsSnapshot &snapshot)
         ", \"analysis\": {\"discharged\": %llu, \"affine\": %llu}",
         static_cast<unsigned long long>(snapshot.analysisDischarged),
         static_cast<unsigned long long>(snapshot.analysisDischarged));
-    out += format(
-        ", \"binary_graph\": {\"scc_merged_vars\": %llu, "
-        "\"probed_failed\": %llu, \"hyper_binaries\": %llu, "
-        "\"transitive_reduced\": %llu}",
-        static_cast<unsigned long long>(snapshot.sccMergedVars),
-        static_cast<unsigned long long>(snapshot.probedFailed),
-        static_cast<unsigned long long>(snapshot.hyperBinaries),
-        static_cast<unsigned long long>(snapshot.transitiveReduced));
     out += '}';
     return out;
 }

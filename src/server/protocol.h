@@ -150,15 +150,6 @@ struct StatsSnapshot
      *  non-cache-hit verify served (cache hits replay a stored
      *  report and add nothing). */
     std::uint64_t analysisDischarged = 0;
-    /** Binary implication graph pass totals (solver inprocessing),
-     *  summed over every non-cache-hit verify served: variables
-     *  merged by SCC equivalence reduction, failed literals proven,
-     *  hyper-binary resolvents harvested, and transitively redundant
-     *  binaries removed. */
-    std::uint64_t sccMergedVars = 0;
-    std::uint64_t probedFailed = 0;
-    std::uint64_t hyperBinaries = 0;
-    std::uint64_t transitiveReduced = 0;
     /** @} */
 };
 

@@ -174,12 +174,6 @@ struct Server::Impl
      *  verify the SAT tier actually ran (result-cache hits replay a
      *  stored report whose discharges were counted when stored). */
     std::atomic<std::uint64_t> statAnalysisDischarged{0};
-    /** Binary implication graph pass totals, same accumulation
-     *  contract as statAnalysisDischarged (fresh runs only). */
-    std::atomic<std::uint64_t> statSccMergedVars{0};
-    std::atomic<std::uint64_t> statProbedFailed{0};
-    std::atomic<std::uint64_t> statHyperBinaries{0};
-    std::atomic<std::uint64_t> statTransitiveReduced{0};
 
     explicit Impl(ServerOptions opts)
         : options(std::move(opts)), queue(options.queueCapacity),
@@ -461,10 +455,6 @@ Server::Impl::handleLine(
         snapshot.connectionsRefused = statConnRefused.load();
         snapshot.authRejected = statAuthRejected.load();
         snapshot.analysisDischarged = statAnalysisDischarged.load();
-        snapshot.sccMergedVars = statSccMergedVars.load();
-        snapshot.probedFailed = statProbedFailed.load();
-        snapshot.hyperBinaries = statHyperBinaries.load();
-        snapshot.transitiveReduced = statTransitiveReduced.load();
         connection->sendLine(statsResponse(request.id, snapshot));
         return;
       }
@@ -672,17 +662,6 @@ Server::Impl::serveRequest(QueuedRequest item)
         outcome.result.analysisTotals.discharged > 0)
         statAnalysisDischarged += static_cast<std::uint64_t>(
             outcome.result.analysisTotals.discharged);
-    if (!outcome.fromResultCache) {
-        const sat::SolverStats &st = outcome.result.solverTotals;
-        statSccMergedVars +=
-            static_cast<std::uint64_t>(st.sccMergedVars);
-        statProbedFailed +=
-            static_cast<std::uint64_t>(st.probedFailed);
-        statHyperBinaries +=
-            static_cast<std::uint64_t>(st.hyperBinaries);
-        statTransitiveReduced +=
-            static_cast<std::uint64_t>(st.transitiveReduced);
-    }
     const bool was_cancelled = item.cancel->cancelRequested();
     if (was_cancelled)
         ++statCancelled;

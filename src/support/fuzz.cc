@@ -153,9 +153,9 @@ solveLane(const sat::Cnf &cnf, const sat::SolverConfig &config,
             break;
     }
     // Exercise the whole between-queries machinery on the way in:
-    // vivification, backward subsumption, SCC/probing/transitive
-    // reduction - exactly the passes whose interactions the harness
-    // exists to distrust.
+    // root clause cleaning, vivification, backward subsumption -
+    // exactly the passes whose interactions the harness exists to
+    // distrust.
     solver.inprocess();
     const sat::SolveResult result = solver.solve();
     if (result == sat::SolveResult::Sat && model_out != nullptr) {

@@ -583,10 +583,7 @@ TEST(BinaryWatch, BinaryOnlyFormulaAllocatesNoArena)
     // The binary-free-arena contract: a formula of nothing but binary
     // clauses lives entirely in the watcher lists, so the clause
     // arena never grows at all - arena_peak_kw genuinely measures
-    // long clauses only.  The equivalence ladder below also drives
-    // the SCC pass through full-circle merging, so the model
-    // reconstruction in original variables is exercised on a formula
-    // where every variable but the representative is substituted.
+    // long clauses only.
     Solver s;
     constexpr Var n = 24;
     for (Var v = 0; v + 1 < n; ++v) {

@@ -26,8 +26,12 @@
 #include "support/rng.h"
 #include "support/strings.h"
 
+#include "adder_mutants.h"
+
 namespace qb::core {
 namespace {
+
+using test::adderMutantSources;
 
 using ir::Circuit;
 using ir::Gate;
@@ -297,29 +301,6 @@ TEST(SchedulerEngine, StressRandomCircuitsAgreeWithBruteForce)
                 << "round " << round << " qubit " << q;
         }
     }
-}
-
-/**
- * adder.qbr at @p n with one line of its final uncompute section
- * dropped, once per distinct line: each mutant leaves some dirty
- * qubits unsafe, so the runs below compare real counterexamples.
- */
-std::vector<std::string>
-adderMutantSources(std::uint32_t n)
-{
-    const std::string source = circuits::adderQbrSource(n);
-    const std::size_t uncompute = source.find("// reverse");
-    std::vector<std::string> out;
-    for (const char *line :
-         {"CNOT[q[1], a[1]];\n", "    CCNOT[a[i - 1], q[i], a[i]];\n",
-          "    X[q[i]];\n", "    CNOT[q[i], a[i]];\n"}) {
-        const std::size_t at = source.rfind(line);
-        EXPECT_GT(at, uncompute) << line;
-        std::string mutant = source;
-        mutant.erase(at, std::string(line).size());
-        out.push_back(std::move(mutant));
-    }
-    return out;
 }
 
 /** Verdict, failed condition, counterexample and lane of every qubit

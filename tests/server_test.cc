@@ -665,6 +665,51 @@ TEST(Server, PerRequestOptionsOverrideDefaults)
     server.shutdown();
 }
 
+TEST(Server, ClientForwardsOnlyGivenOptionsSoDaemonDefaultsApply)
+{
+    // qborrow --connect builds its request's `options` from its own
+    // command line.  A row the client never gave must stay out of
+    // it: sending the table default would override the default the
+    // daemon was started with (here --no-cex).
+    const Settings plain;
+    EXPECT_EQ("{}", requestOptionsJson(plain));
+    Settings portfolio; // an alias marks its own row, not --lane's
+    const char *argv[] = {"qborrow", "--portfolio", "--budget=7"};
+    std::vector<std::string> positional;
+    ASSERT_EQ("", flags::scan(optionRows(), 3,
+                              const_cast<char *const *>(argv),
+                              portfolio.values, positional));
+    EXPECT_EQ(R"({"lane": "portfolio", "budget": 7})",
+              requestOptionsJson(portfolio));
+
+    ServerOptions options;
+    options.socketPath = testSocketPath("forwarding");
+    options.jobs = 1;
+    ASSERT_TRUE(options.defaults.set(Opt::Counterexample, "false"));
+    Server server(std::move(options));
+    server.start();
+    TestClient client(server.socketPath());
+    client.send(format(R"({"op": "verify", "id": 6, "source": "%s", )"
+                       R"("options": %s})",
+                       jsonEscape(kUnsafeSource).c_str(),
+                       requestOptionsJson(plain).c_str()));
+    const auto frames = client.collect(6);
+    ASSERT_EQ("result", frames.back().find("type")->asString());
+    bool saw_unsafe_qubit = false;
+    for (const JsonValue &frame : frames) {
+        if (frame.find("type")->asString() != "qubit")
+            continue;
+        const JsonValue *q = frame.find("qubit");
+        if (q->find("verdict")->asString() != "unsafe")
+            continue;
+        saw_unsafe_qubit = true;
+        EXPECT_TRUE(q->find("counterexample")->isNull())
+            << "the daemon's --no-cex default was overridden";
+    }
+    EXPECT_TRUE(saw_unsafe_qubit);
+    server.shutdown();
+}
+
 TEST(Server, BadRequestsDoNotStopTheService)
 {
     ServerOptions options;
@@ -1179,7 +1224,6 @@ TEST(OptionsTable, DefaultsResolveToTheLibraryDefaults)
     const core::EngineOptions library;
     EXPECT_EQ(library.jobs, resolved.jobs);
     EXPECT_EQ(library.inprocessInterval, resolved.inprocessInterval);
-    EXPECT_EQ(library.binaryAnalysis, resolved.binaryAnalysis);
     EXPECT_EQ(library.analysis.affine, resolved.analysis.affine);
     ASSERT_EQ(library.lanes.size(), resolved.lanes.size());
     EXPECT_EQ(library.lanes[0].wantCounterexample,

@@ -4,9 +4,9 @@
  *
  * `qbsat --dimacs file.cnf` (or a bare positional path; "-" reads
  * stdin) streams the file through the strict located DIMACS reader
- * (sat/dimacs.h), decides it with the full sat::Solver - solve-entry
- * binary-implication-graph analysis, vivification/subsumption
- * inprocessing, OTF subsumption, the works - and prints the result
+ * (sat/dimacs.h), decides it with the full sat::Solver - root clause
+ * cleaning, vivification/subsumption inprocessing, OTF subsumption,
+ * the works - and prints the result
  * SAT-competition style: "s SATISFIABLE" plus "v" model lines, or
  * "s UNSATISFIABLE".  Exit codes follow the competition convention:
  * 10 = SAT, 20 = UNSAT, 0 = unknown (conflict budget exhausted), and
@@ -119,9 +119,8 @@ run(int argc, char **argv)
     qb::sat::Solver solver(config);
     solver.addCnf(cnf);
     // One explicit inprocessing pass before search puts the whole
-    // slice-boundary machinery (vivification, backward subsumption,
-    // binary-graph passes) on the standalone-CNF path too; solve()
-    // entry then re-runs the binary-graph analysis as usual.
+    // slice-boundary machinery (root clause cleaning, vivification,
+    // backward subsumption) on the standalone-CNF path too.
     solver.inprocess();
     const qb::sat::SolveResult result = solver.solve();
     if (v[Stats].number) {
@@ -139,13 +138,6 @@ run(int argc, char **argv)
                     static_cast<long long>(s.otfStrengthenedClauses),
                     static_cast<long long>(s.otfSkipped),
                     static_cast<long long>(s.otfDeferredApplied));
-        std::printf("c scc-merged %lld probed-failed %lld "
-                    "hyper-binaries %lld "
-                    "transitive-reduced %lld\n",
-                    static_cast<long long>(s.sccMergedVars),
-                    static_cast<long long>(s.probedFailed),
-                    static_cast<long long>(s.hyperBinaries),
-                    static_cast<long long>(s.transitiveReduced));
     }
     switch (result) {
       case qb::sat::SolveResult::Sat: {

@@ -8,7 +8,8 @@
  *  - pigeonhole formulas (hard structured UNSAT),
  *  - random 3-SAT at the satisfiability threshold,
  *  - real verifier formulas (condition (6.2) of an adder instance
- *    with an input qubit in the dirty role, a satisfiable case).
+ *    with an input qubit in the dirty role, a satisfiable case),
+ *    also timed alone under the simplify preset (SatEliminate).
  */
 
 #include <benchmark/benchmark.h>
@@ -175,6 +176,31 @@ SatVerifierFormula(benchmark::State &state)
     state.SetLabel(kVariantNames[state.range(1)]);
 }
 
+/**
+ * Lane B on the same instance: solveCnf() under the simplify preset,
+ * bounded variable elimination and the search after it.
+ * eliminated_vars shows how much elimination was timed; it is
+ * deterministic, so a change in it is a change in behaviour.
+ */
+void
+SatEliminate(benchmark::State &state)
+{
+    const Cnf cnf =
+        brokenAdderCnf(static_cast<std::uint32_t>(state.range(0)));
+    std::int64_t eliminated = 0;
+    for (auto _ : state) {
+        qb::sat::SolverStats stats;
+        if (qb::sat::solveCnf(cnf, SolverConfig::simplify(), &stats) !=
+            SolveResult::Sat)
+            state.SkipWithError(
+                "broken adder condition (6.2) must be SAT");
+        eliminated = stats.eliminatedVars;
+    }
+    state.counters["eliminated_vars"] = static_cast<double>(eliminated);
+    state.counters["cnf_clauses"] =
+        static_cast<double>(cnf.numClauses());
+}
+
 } // namespace
 
 BENCHMARK(SatPigeonhole)
@@ -185,4 +211,8 @@ BENCHMARK(SatRandom3Sat)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(SatVerifierFormula)
     ->ArgsProduct({{40, 80}, {0, 1, 2, 3}})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(SatEliminate)
+    ->Arg(40)
+    ->Arg(80)
     ->Unit(benchmark::kMillisecond);

@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "sat/literal.h"
@@ -140,7 +141,7 @@ class ClauseAllocator
         sizeof(Clause) / sizeof(std::uint32_t);
 
     /** Append a clause; invalidates outstanding Clause references. */
-    ClauseRef alloc(const LitVec &lits, bool learnt, unsigned lbd,
+    ClauseRef alloc(std::span<const Lit> lits, bool learnt, unsigned lbd,
                     float activity = 0.0f)
     {
         qbAssert(lits.size() >= 1, "alloc of empty clause");

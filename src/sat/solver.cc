@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -1130,15 +1131,18 @@ Solver::restoreEliminated()
     // Move the stack aside first: addClause() below re-enters the
     // elimStack guard, which must already see it empty.
     const auto saved = std::move(elimStack);
+    const FlatClauses clauses = std::move(elimClauses);
     elimStack.clear();
+    elimClauses = {};
     for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
         const Var v = it->first;
         assigns[v] = LBool::Undef;
         order->insert(v);
     }
-    for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
-        for (const LitVec &clause : it->second) {
-            if (!addClause(clause))
+    for (std::size_t k = saved.size(); k-- > 0;) {
+        for (std::uint32_t i = k == 0 ? 0 : saved[k - 1].second;
+             i < saved[k].second; ++i) {
+            if (!addClause(LitVec(clauses[i].begin(), clauses[i].end())))
                 return;
         }
     }
@@ -1365,14 +1369,15 @@ Solver::solve(const LitVec &assumps)
         if (result != SolveResult::Unknown) {
             if (result == SolveResult::Sat) {
                 // Extend the model over eliminated variables.
-                for (auto it = elimStack.rbegin(); it != elimStack.rend();
-                     ++it) {
-                    const Var v = it->first;
+                for (std::size_t k = elimStack.size(); k-- > 0;) {
+                    const Var v = elimStack[k].first;
                     model[v] = LBool::True;
-                    for (const LitVec &c : it->second) {
+                    for (std::uint32_t i =
+                             k == 0 ? 0 : elimStack[k - 1].second;
+                         i < elimStack[k].second; ++i) {
                         bool sat = false;
                         bool v_neg = false;
-                        for (Lit l : c) {
+                        for (Lit l : elimClauses[i]) {
                             if (l.var() == v) {
                                 v_neg = l.sign();
                                 continue;
@@ -1439,22 +1444,32 @@ Solver::preprocessEliminate()
     // every future arena - an unbounded, unaccounted leak.
     for (const Lit l : trail)
         reasons[l.var()] = Reason();
-    std::vector<LitVec> clauses;
-    clauses.reserve(problemClauses.size());
+
+    // The working clause set.  Every clause in it is a set of distinct,
+    // non-complementary literals (addClause() sorts and drops
+    // tautologies; later rewrites only remove literals), which is what
+    // lets the candidate check below count resolvents with marks.
+    FlatClauses clauses;
+    std::size_t binary_lits = 0;
+    for (const auto &list : binWatches)
+        binary_lits += list.size();
+    clauses.lits.reserve(ca.words() + binary_lits);
+    clauses.ends.reserve(problemClauses.size() + binary_lits / 2);
+    auto keep = [&](const Lit *first, const Lit *last) {
+        const std::size_t mark = clauses.lits.size();
+        for (; first != last; ++first) {
+            if (value(*first) == LBool::True) {
+                clauses.lits.resize(mark);
+                return;
+            }
+            if (value(*first) == LBool::Undef)
+                clauses.lits.push_back(*first);
+        }
+        clauses.close();
+    };
     for (const ClauseRef cr : problemClauses) {
         const Clause &c = ca[cr];
-        LitVec kept;
-        bool satisfied = false;
-        for (Lit l : c) {
-            if (value(l) == LBool::True) {
-                satisfied = true;
-                break;
-            }
-            if (value(l) == LBool::Undef)
-                kept.push_back(l);
-        }
-        if (!satisfied)
-            clauses.push_back(std::move(kept));
+        keep(c.begin(), c.end());
         detachClause(cr);
         ca.free(cr);
     }
@@ -1468,117 +1483,149 @@ Solver::preprocessEliminate()
         for (const BinWatcher &w : binWatches[idx]) {
             if (!(a < w.other))
                 continue;
-            LitVec kept;
-            bool satisfied = false;
-            for (const Lit l : {a, w.other}) {
-                if (value(l) == LBool::True) {
-                    satisfied = true;
-                    break;
-                }
-                if (value(l) == LBool::Undef)
-                    kept.push_back(l);
-            }
-            if (!satisfied)
-                clauses.push_back(std::move(kept));
+            const Lit pair[2] = {a, w.other};
+            keep(pair, pair + 2);
         }
     }
     for (auto &list : binWatches)
         list.clear();
+    std::vector<char> dead(clauses.size(), 0);
 
-    // Incremental occurrence lists over a tombstoned clause vector.
+    // Occurrence lists by literal index, in one pool: list l holds
+    // occ[l].size clause indices from pool[occ[l].begin], with room
+    // for occ[l].cap.  A full list moves to the end of the pool with
+    // twice the room; dead entries are compacted out when it is read.
+    struct OccList
+    {
+        std::uint32_t begin = 0, size = 0, cap = 0;
+    };
+    std::vector<OccList> occ(2 * static_cast<std::size_t>(numVars()));
+    for (const Lit l : clauses.lits)
+        ++occ[l.index()].cap;
+    std::uint32_t filled = 0;
+    for (OccList &o : occ) {
+        o.begin = filled;
+        filled += o.cap;
+    }
+    std::vector<std::uint32_t> pool(filled);
+    auto push_occ = [&](Lit l, std::uint32_t i) {
+        OccList &o = occ[l.index()];
+        if (o.size == o.cap) {
+            const auto moved = static_cast<std::uint32_t>(pool.size());
+            o.cap = std::max<std::uint32_t>(4, 2 * o.cap);
+            pool.resize(pool.size() + o.cap);
+            std::copy_n(pool.begin() + o.begin, o.size,
+                        pool.begin() + moved);
+            o.begin = moved;
+        }
+        pool[o.begin + o.size++] = i;
+    };
+    for (std::uint32_t i = 0; i < clauses.size(); ++i)
+        for (const Lit l : clauses[i])
+            push_occ(l, i);
+    auto live = [&](Lit l) {
+        OccList &o = occ[l.index()];
+        std::uint32_t *first = pool.data() + o.begin;
+        o.size = static_cast<std::uint32_t>(
+            std::remove_if(first, first + o.size,
+                           [&](std::uint32_t i) { return dead[i]; }) -
+            first);
+        return std::span<const std::uint32_t>(first, o.size);
+    };
+
+    // Marks hold the positive clause's literals other than v: the
+    // resolvent with a negative clause is a tautology exactly when
+    // that clause holds the complement of a marked literal.
+    std::vector<char> marked(occ.size(), 0);
+    auto set_marks = [&](std::uint32_t pi, Var v, char on) {
+        for (const Lit l : clauses[pi])
+            if (l.var() != v)
+                marked[l.index()] = on;
+    };
+    auto tautology = [&](std::uint32_t ni, Var v) {
+        for (const Lit l : clauses[ni])
+            if (l.var() != v && marked[(~l).index()])
+                return true;
+        return false;
+    };
+
     constexpr std::size_t occ_limit = 10;
-    std::vector<bool> dead(clauses.size(), false);
-    std::vector<std::vector<std::size_t>> occ_pos(numVars());
-    std::vector<std::vector<std::size_t>> occ_neg(numVars());
-    auto index_clause = [&](std::size_t i) {
-        for (Lit l : clauses[i])
-            (l.sign() ? occ_neg : occ_pos)[l.var()].push_back(i);
-    };
-    for (std::size_t i = 0; i < clauses.size(); ++i)
-        index_clause(i);
-    auto live_occurrences = [&](std::vector<std::size_t> &occ) {
-        occ.erase(std::remove_if(occ.begin(), occ.end(),
-                                 [&](std::size_t i) {
-                                     return dead[i];
-                                 }),
-                  occ.end());
-        return occ.size();
-    };
-
     std::vector<bool> frozen(numVars(), false);
     std::vector<Var> queue;
     for (Var v = 0; v < numVars(); ++v)
         queue.push_back(v);
+    FlatClauses resolvents; // of the variable being committed
     while (!queue.empty()) {
         const Var v = queue.back();
         queue.pop_back();
         if (frozen[v] || assigns[v] != LBool::Undef)
             continue;
-        const std::size_t pos_count = live_occurrences(occ_pos[v]);
-        const std::size_t neg_count = live_occurrences(occ_neg[v]);
-        if (pos_count == 0 && neg_count == 0)
+        const auto pos = live(mkLit(v));
+        const auto neg = live(~mkLit(v));
+        if (pos.empty() && neg.empty())
             continue;
-        if (pos_count > occ_limit || neg_count > occ_limit)
+        if (pos.size() > occ_limit || neg.size() > occ_limit)
             continue;
-        const auto pos = occ_pos[v];
-        const auto neg = occ_neg[v];
-        // Build all non-tautological resolvents; abort if eliminating
+        // Count the non-tautological resolvents; abort if eliminating
         // v would grow the clause count (NiVER criterion).
-        std::vector<LitVec> resolvents;
-        bool abort_var = false;
-        for (std::size_t pi : pos) {
-            for (std::size_t ni : neg) {
-                LitVec res;
-                bool taut = false;
-                for (Lit l : clauses[pi])
-                    if (l.var() != v)
-                        res.push_back(l);
-                for (Lit l : clauses[ni])
-                    if (l.var() != v)
-                        res.push_back(l);
-                std::sort(res.begin(), res.end());
-                res.erase(std::unique(res.begin(), res.end()),
-                          res.end());
-                for (std::size_t k = 0; k + 1 < res.size(); ++k) {
-                    if (res[k].var() == res[k + 1].var()) {
-                        taut = true;
-                        break;
-                    }
-                }
-                if (!taut)
-                    resolvents.push_back(std::move(res));
-                if (resolvents.size() > pos.size() + neg.size()) {
-                    abort_var = true;
+        const std::size_t bound = pos.size() + neg.size();
+        std::size_t count = 0;
+        for (const std::uint32_t pi : pos) {
+            set_marks(pi, v, 1);
+            for (const std::uint32_t ni : neg)
+                if (!tautology(ni, v) && ++count > bound)
                     break;
-                }
-            }
-            if (abort_var)
+            set_marks(pi, v, 0);
+            if (count > bound)
                 break;
         }
-        if (abort_var) {
+        if (count > bound) {
             frozen[v] = true;
             continue;
         }
-        // Commit: remember v's clauses for model reconstruction and
-        // splice in the resolvents.
-        std::vector<LitVec> saved;
-        for (std::size_t i : pos) {
-            saved.push_back(clauses[i]);
-            dead[i] = true;
+        // Commit: build the resolvents, each sorted with duplicates
+        // merged, then move v's clauses onto the reconstruction stack
+        // and splice the resolvents in.
+        resolvents.lits.clear();
+        resolvents.ends.clear();
+        for (const std::uint32_t pi : pos) {
+            set_marks(pi, v, 1);
+            for (const std::uint32_t ni : neg) {
+                if (tautology(ni, v))
+                    continue;
+                const std::size_t first = resolvents.lits.size();
+                for (const Lit l : clauses[pi])
+                    if (l.var() != v)
+                        resolvents.lits.push_back(l);
+                for (const Lit l : clauses[ni])
+                    if (l.var() != v && !marked[l.index()])
+                        resolvents.lits.push_back(l);
+                std::sort(resolvents.lits.begin() + first,
+                          resolvents.lits.end());
+                resolvents.close();
+            }
+            set_marks(pi, v, 0);
         }
-        for (std::size_t i : neg) {
-            saved.push_back(clauses[i]);
-            dead[i] = true;
+        for (const auto side : {pos, neg}) {
+            for (const std::uint32_t i : side) {
+                elimClauses.push(clauses[i]);
+                dead[i] = 1;
+            }
         }
-        elimStack.emplace_back(v, std::move(saved));
-        for (LitVec &r : resolvents) {
-            const std::size_t idx = clauses.size();
-            clauses.push_back(std::move(r));
-            dead.push_back(false);
-            index_clause(idx);
-            // Touched variables become candidates again.
-            for (Lit l : clauses[idx])
-                queue.push_back(l.var());
+        elimStack.emplace_back(
+            v, static_cast<std::uint32_t>(elimClauses.size()));
+        for (std::size_t r = 0; r < resolvents.size(); ++r) {
+            const auto idx = static_cast<std::uint32_t>(clauses.size());
+            clauses.push(resolvents[r]);
+            dead.push_back(0);
+            for (const Lit l : resolvents[r]) {
+                push_occ(l, idx);
+                // Touched variables become candidates again.  A frozen
+                // or assigned one stays so and would be skipped when
+                // popped, so it is not queued at all.
+                if (!frozen[l.var()] && assigns[l.var()] == LBool::Undef)
+                    queue.push_back(l.var());
+            }
         }
         assigns[v] = LBool::True; // block decisions on v
         levels[v] = 0;
@@ -1586,10 +1633,10 @@ Solver::preprocessEliminate()
     }
 
     // Re-add the surviving clauses through the normal path.
-    for (std::size_t i = 0; i < clauses.size(); ++i) {
+    for (std::uint32_t i = 0; i < clauses.size(); ++i) {
         if (dead[i])
             continue;
-        LitVec &c = clauses[i];
+        const auto c = clauses[i];
         if (c.empty())
             return false;
         if (c.size() == 1) {

@@ -46,6 +46,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sat/clause_allocator.h"
@@ -347,6 +348,32 @@ class Solver
     struct BinWatcher;
     class VarOrder;
 
+    /** Clauses stored back to back in one literal vector: clause i is
+     *  lits[ends[i - 1], ends[i]), starting at 0 for i = 0. */
+    struct FlatClauses
+    {
+        std::vector<Lit> lits;
+        std::vector<std::uint32_t> ends;
+
+        std::size_t size() const { return ends.size(); }
+        std::span<const Lit> operator[](std::size_t i) const
+        {
+            const std::uint32_t first = i == 0 ? 0 : ends[i - 1];
+            return {lits.data() + first, ends[i] - first};
+        }
+        /** End a clause made of the literals appended since the last
+         *  one ended. */
+        void close()
+        {
+            ends.push_back(static_cast<std::uint32_t>(lits.size()));
+        }
+        void push(std::span<const Lit> c)
+        {
+            lits.insert(lits.end(), c.begin(), c.end());
+            close();
+        }
+    };
+
     LBool value(Lit l) const;
     LBool value(Var v) const { return assigns[v]; }
     int decisionLevel() const
@@ -402,6 +429,17 @@ class Solver
     void claBumpActivity(Clause &c);
     void claDecayActivity();
     unsigned computeLbd(const LitVec &lits);
+    /**
+     * Bounded variable elimination over the root problem clauses
+     * (NiVER criterion, at most 10 occurrences per sign); false when
+     * it finds the formula unsatisfiable.  A candidate check counts
+     * non-tautological resolvents against literal marks and
+     * allocates nothing; resolvents are built only for a variable
+     * that is eliminated; a frozen or assigned variable is never
+     * queued again.  The result is the same as building every
+     * resolvent: the same variables in the same order, the same
+     * elimStack, the same surviving clauses in the same order.
+     */
     bool preprocessEliminate();
     void vivifyLearnts();
     void backwardSubsume();
@@ -474,8 +512,12 @@ class Solver
     const std::atomic<bool> *stopFlag = nullptr;
 
     std::vector<LBool> model;
-    // Eliminated-variable reconstruction stack (var, eliminated clauses).
-    std::vector<std::pair<Var, std::vector<LitVec>>> elimStack;
+    /** Eliminated-variable reconstruction stack: each eliminated
+     *  variable with the end of its clauses in elimClauses (they
+     *  start where the previous entry's end). */
+    std::vector<std::pair<Var, std::uint32_t>> elimStack;
+    /** The clauses each elimination removed, in elimStack order. */
+    FlatClauses elimClauses;
 };
 
 /** One-shot convenience: decide a Cnf with the given configuration. */

@@ -156,22 +156,12 @@ fingerprint(const Settings &settings)
 std::string
 requestOptionsJson(const Settings &settings)
 {
-    // A row counts as given when it or an alias of it was set
-    // (--portfolio writes --lane's value but marks its own row).
-    const auto given = [&settings](std::size_t i) {
-        for (std::size_t j = 0; j < std::size(kRows); ++j)
-            if (settings.values[j].set &&
-                (j == i || (kRows[j].kind == Kind::Alias &&
-                            std::strcmp(kRows[j].choices,
-                                        kRows[i].flag) == 0)))
-                return true;
-        return false;
-    };
     std::string out;
     for (std::size_t i = 0; i < std::size(kRows); ++i) {
-        // Only what the command line gave: an unset row must leave
-        // the daemon's own default in force.
-        if (!kRows[i].member || !given(i))
+        // Only what the command line gave (--portfolio marks --lane
+        // too): an unset row must leave the daemon's own default in
+        // force.
+        if (!kRows[i].member || !settings.values[i].set)
             continue;
         const std::string &text = settings.values[i].text;
         out += format(out.empty() ? "{\"%s\": " : ", \"%s\": ",
@@ -188,8 +178,18 @@ warnIgnored(const Settings &settings, Mode mode)
 {
     const char *mode_name = mode == Local ? "local"
         : mode == Serve ? "server" : "client";
+    // A given alias marks its target set too: warn once, under the
+    // alias the user typed.
+    const auto via_alias = [&settings](std::size_t i) {
+        for (std::size_t j = 0; j < std::size(kRows); ++j)
+            if (kRows[j].kind == Kind::Alias && settings.values[j].set &&
+                std::strcmp(kRows[j].choices, kRows[i].flag) == 0)
+                return true;
+        return false;
+    };
     for (std::size_t i = 0; i < std::size(kRows); ++i)
-        if (settings.values[i].set && !(kRows[i].scope & mode))
+        if (settings.values[i].set && !(kRows[i].scope & mode) &&
+            !via_alias(i))
             warn(format("%s is %s; ignored in %s mode", kRows[i].flag,
                         kScopes[kRows[i].scope], mode_name));
 }

@@ -61,8 +61,8 @@ core::EngineOptions engineOptions(const Settings &settings);
 /** Result-cache key: the values of the fingerprinted rows. */
 std::string fingerprint(const Settings &settings);
 
-/** The rows with a protocol member that were given (themselves or
- *  through an alias), as a request's `options`. */
+/** The rows with a protocol member that were given (an alias marks
+ *  its target given), as a request's `options`. */
 std::string requestOptionsJson(const Settings &settings);
 
 /** Warn once for each set flag that has no effect in @p mode. */

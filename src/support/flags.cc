@@ -114,6 +114,7 @@ scan(std::span<const Row> rows, int argc, char *const *argv,
                           text.c_str(), name.c_str(),
                           describe(*target).c_str());
         values[row - rows.data()].set = true;
+        values[target - rows.data()].set = true;
     }
     return {};
 }

@@ -61,8 +61,9 @@ std::string describe(const Row &row);
 std::vector<Value> defaults(std::span<const Row> rows);
 
 /** Scan argv[1..argc) into @p values; "-" and arguments not starting
- *  with '-' go to @p positional.  Returns the first usage error, or
- *  empty. */
+ *  with '-' go to @p positional.  A given flag marks its row set, and
+ *  an alias marks its target's row too.  Returns the first usage
+ *  error, or empty. */
 std::string scan(std::span<const Row> rows, int argc,
                  char *const *argv, std::vector<Value> &values,
                  std::vector<std::string> &positional);

@@ -12,8 +12,11 @@
 #include <algorithm>
 #include <atomic>
 
+#include "circuits/adders.h"
+#include "core/formula_builder.h"
 #include "sat/cnf.h"
 #include "sat/solver.h"
+#include "sat/tseitin.h"
 #include "support/fuzz.h"
 #include "support/logging.h"
 #include "support/rng.h"
@@ -528,6 +531,128 @@ TEST_P(SatProperty, WideClausesAgree)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SatProperty, ::testing::Range(0, 40));
+
+// ====================================== bounded variable elimination
+
+/**
+ * Condition (6.2) of the Haner carry adder on @p n bits with qubit
+ * @p dirty in the dirty role, as lane B decides it: satisfiable for
+ * the input q[1] (qubit 0; the carry depends on it), unsatisfiable for
+ * the borrowed a[1] (qubit n).
+ */
+Cnf
+adderConditionCnf(std::uint32_t n, std::uint32_t dirty)
+{
+    const auto circuit = circuits::hanerCarryCircuit(n);
+    bexp::Arena arena;
+    core::FormulaBuilder builder(arena, circuit.numQubits());
+    builder.applyCircuit(circuit);
+    std::vector<bexp::NodeRef> disjuncts;
+    for (std::uint32_t q = 0; q < circuit.numQubits(); ++q) {
+        if (q == dirty)
+            continue;
+        const auto f = builder.formula(q);
+        disjuncts.push_back(
+            arena.mkXor({arena.substitute(f, dirty, bexp::kFalse),
+                         arena.substitute(f, dirty, bexp::kTrue)}));
+    }
+    return encodeAssertTrue(arena, arena.mkOr(std::move(disjuncts))).cnf;
+}
+
+/** What solveCnf() under the simplify preset decides, with the model
+ *  as one '0'/'1' per variable (empty unless Sat). */
+struct SimplifyRun
+{
+    SolveResult result;
+    SolverStats stats;
+    std::string model;
+};
+
+SimplifyRun
+runSimplify(const Cnf &cnf)
+{
+    Solver solver(SolverConfig::simplify());
+    solver.addCnf(cnf);
+    SimplifyRun run{solver.solve(), solver.stats(), {}};
+    if (run.result == SolveResult::Sat)
+        for (Var v = 0; v < cnf.numVars(); ++v)
+            run.model += solver.modelValue(v) == LBool::True ? '1' : '0';
+    return run;
+}
+
+TEST(Elimination, SimplifyRunsArePinned)
+{
+    // Bounded variable elimination decides which variables go, in
+    // which order, and which clauses survive in which order; search
+    // then follows from that.  These constants were recorded with the
+    // elimination loop that built a heap resolvent for every candidate
+    // pair; the counting loop that replaced it must reproduce them
+    // exactly.
+    const SimplifyRun broken = runSimplify(adderConditionCnf(12, 0));
+    EXPECT_EQ(SolveResult::Sat, broken.result);
+    EXPECT_EQ(23, broken.stats.eliminatedVars);
+    EXPECT_EQ(55, broken.stats.conflicts);
+    EXPECT_EQ(167, broken.stats.decisions);
+    EXPECT_EQ("1001010101000110001010101000101010010100101010000011110011"
+              "000000111",
+              broken.model);
+
+    const SimplifyRun safe = runSimplify(adderConditionCnf(16, 16));
+    EXPECT_EQ(SolveResult::Unsat, safe.result);
+    EXPECT_EQ(32, safe.stats.eliminatedVars);
+    EXPECT_EQ(149, safe.stats.conflicts);
+    EXPECT_EQ(379, safe.stats.decisions);
+
+    Rng rng(6); // SatProperty's formula for seed 6
+    const SimplifyRun random = runSimplify(randomCnf(rng, 8, 34, 3));
+    EXPECT_EQ(SolveResult::Sat, random.result);
+    EXPECT_EQ(2, random.stats.eliminatedVars);
+    EXPECT_EQ(1, random.stats.conflicts);
+    EXPECT_EQ(6, random.stats.decisions);
+    EXPECT_EQ("10101110", random.model);
+}
+
+/**
+ * x (variable 8) in three positive and three negative clauses over
+ * a0..a7, three of whose nine pairs resolve to tautologies; with
+ * @p extra the third tautology is broken.  Every all-positive triple
+ * over a0..a7 is added too, so each a_i occurs positively 21 times,
+ * over the occurrence limit: x is the only candidate.
+ */
+Cnf
+niverBoundaryCnf(bool extra)
+{
+    Cnf cnf;
+    const auto a = [](Var i) { return mkLit(i); };
+    for (Var i = 0; i < 8; ++i)
+        for (Var j = i + 1; j < 8; ++j)
+            for (Var k = j + 1; k < 8; ++k)
+                cnf.addClause({a(i), a(j), a(k)});
+    const Lit x = mkLit(8);
+    cnf.addClause({x, a(0), a(1)});
+    cnf.addClause({x, a(2), a(3)});
+    cnf.addClause({x, a(4), a(5)});
+    cnf.addClause({~x, ~a(0), a(6)}); // tautology with (x, a0, a1)
+    cnf.addClause({~x, ~a(2), a(6)}); // tautology with (x, a2, a3)
+    cnf.addClause({~x, extra ? a(6) : ~a(4), a(7)});
+    return cnf;
+}
+
+TEST(Elimination, NiverBoundIsExactlyPosPlusNeg)
+{
+    // Six non-tautological resolvents against 3 + 3 clauses do not
+    // grow the clause count, so x goes; seven, one over, freeze it.
+    for (const bool extra : {false, true}) {
+        const Cnf cnf = niverBoundaryCnf(extra);
+        const SimplifyRun run = runSimplify(cnf);
+        ASSERT_EQ(SolveResult::Sat, run.result);
+        EXPECT_EQ(extra ? 0 : 1, run.stats.eliminatedVars) << extra;
+        std::vector<LBool> model;
+        for (const char bit : run.model)
+            model.push_back(lboolOf(bit == '1'));
+        EXPECT_TRUE(cnf.satisfiedBy(model)) << extra;
+    }
+}
 
 // ===================================================== binary watchers
 

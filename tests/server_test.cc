@@ -665,6 +665,26 @@ TEST(Server, PerRequestOptionsOverrideDefaults)
     server.shutdown();
 }
 
+TEST(OptionsTable, AliasMarksItsTargetSet)
+{
+    // --portfolio writes --lane's value and --token --auth-token's, so
+    // each marks the row it wrote as well as its own: a reader of
+    // `set` never has to resolve aliases.
+    Settings cli;
+    const char *argv[] = {"qborrow", "--portfolio", "--token", "t"};
+    std::vector<std::string> positional;
+    ASSERT_EQ("", flags::scan(optionRows(), 4,
+                              const_cast<char *const *>(argv),
+                              cli.values, positional));
+    EXPECT_TRUE(cli[Opt::Portfolio].set);
+    EXPECT_TRUE(cli[Opt::Lane].set);
+    EXPECT_EQ("portfolio", cli.text(Opt::Lane));
+    EXPECT_TRUE(cli[Opt::Token].set);
+    EXPECT_TRUE(cli[Opt::AuthToken].set);
+    EXPECT_EQ("t", cli.text(Opt::AuthToken));
+    EXPECT_FALSE(cli[Opt::Clean].set);
+}
+
 TEST(Server, ClientForwardsOnlyGivenOptionsSoDaemonDefaultsApply)
 {
     // qborrow --connect builds its request's `options` from its own
@@ -673,7 +693,7 @@ TEST(Server, ClientForwardsOnlyGivenOptionsSoDaemonDefaultsApply)
     // daemon was started with (here --no-cex).
     const Settings plain;
     EXPECT_EQ("{}", requestOptionsJson(plain));
-    Settings portfolio; // an alias marks its own row, not --lane's
+    Settings portfolio; // the alias marks --lane's row given too
     const char *argv[] = {"qborrow", "--portfolio", "--budget=7"};
     std::vector<std::string> positional;
     ASSERT_EQ("", flags::scan(optionRows(), 3,

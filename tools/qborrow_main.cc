@@ -87,8 +87,8 @@ std::string
 resolveToken(const Settings &cli)
 {
     const char *env = std::getenv("QB_AUTH_TOKEN");
-    const bool given = cli[Opt::AuthToken].set || cli[Opt::Token].set;
-    return given || !env ? cli.text(Opt::AuthToken) : env;
+    return cli[Opt::AuthToken].set || !env ? cli.text(Opt::AuthToken)
+                                           : env;
 }
 
 /** The per-qubit text line, from the qubit's JSON object: a local
